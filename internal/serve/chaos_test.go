@@ -262,6 +262,83 @@ func TestChaosCancel(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
+// TestChaosHitDisconnect pins that a client vanishing in the middle of a
+// cache-hit stream ends its handler promptly and leaks no goroutine. The
+// body (~15 MB) is far larger than loopback socket buffers, so the
+// handler is still writing when the client leaves.
+func TestChaosHitDisconnect(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv, err := serve.New(serve.Config{
+		Clock:    serve.NewFakeClock(time.Unix(1_700_000_000, 0)),
+		CacheDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	handled := make(chan int64, 2) // body bytes each request's handler tried to write
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cw := &countingWriter{ResponseWriter: w}
+		h.ServeHTTP(cw, r)
+		handled <- cw.n
+	}))
+	doc := []byte(`{"n":40,"tcomp":0.8,"tcomm":0.2,"potential":{"kind":"tanh"},"offsets":[-1,1],` +
+		`"delays":[{"rank":5,"start":50,"duration":2.5}],"t_end":400,"samples":20001}`)
+
+	resp, err := http.Post(hs.URL+"/v1/run", "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full := <-handled
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/run", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Header.Get("X-Pomsimd-Cache"); got != "hit" {
+		t.Fatalf("second submit cache header %q, want hit", got)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	_ = resp.Body.Close() // abandoned mid-body on purpose
+	select {
+	case n := <-handled:
+		if n >= full {
+			t.Errorf("cache-hit handler went on writing all %d body bytes to a client that left", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cache-hit handler still running 10 s after its client left")
+	}
+
+	hs.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, base)
+}
+
+// countingWriter counts the body bytes a handler tries to write.
+type countingWriter struct {
+	http.ResponseWriter
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return c.ResponseWriter.Write(p)
+}
+
 // TestChaosCancelQueued pins that canceling a job that never reached a
 // worker terminates it cleanly too.
 func TestChaosCancelQueued(t *testing.T) {

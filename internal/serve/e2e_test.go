@@ -173,6 +173,41 @@ func TestE2EPerFamily(t *testing.T) {
 	}
 }
 
+// TestE2EHitStreamsInChunks pins the chunked cache-hit stream on a body
+// that spans many 64 KiB chunks: the hit is byte-identical to the miss
+// that produced it and carries the same trailers.
+func TestE2EHitStreamsInChunks(t *testing.T) {
+	_, hs := newTestServer(t, serve.Config{})
+	doc := readExample(t, "pom.json")
+	var bodies [2][]byte
+	for i, kind := range []string{"miss", "hit"} {
+		resp := postRun(t, hs.URL, doc)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Header.Get("X-Pomsimd-Cache"); got != kind {
+			t.Fatalf("submit %d cache header %q, want %q", i, got, kind)
+		}
+		if got := resp.Trailer.Get("X-Pomsimd-Status"); got != "done" {
+			t.Errorf("%s trailer status %q, want done", kind, got)
+		}
+		if got, want := resp.Trailer.Get("X-Pomsimd-Rows"), strconv.Itoa(bytes.Count(body, []byte("\n"))); got != want {
+			t.Errorf("%s trailer rows %q, want %s", kind, got, want)
+		}
+		bodies[i] = body
+	}
+	if len(bodies[0]) < 4*64<<10 {
+		t.Fatalf("body of %d bytes spans too few 64 KiB chunks", len(bodies[0]))
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("cache-hit body diverges from the miss: %d vs %d bytes", len(bodies[1]), len(bodies[0]))
+	}
+}
+
 func firstLine(b []byte) []byte {
 	if i := bytes.IndexByte(b, '\n'); i >= 0 {
 		return b[:i]

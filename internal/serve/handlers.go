@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
 
+	"repro/internal/archive"
 	"repro/internal/scenario"
 )
 
@@ -96,21 +99,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.streamJob(w, r, j, string(kind))
 }
 
+// hitChunk is the write size of a cache-hit stream: rows render into one
+// buffer of this size, which is written out each time it fills.
+const hitChunk = 64 << 10
+
 // streamJob writes a job's NDJSON rows, following the live buffer for
 // executing jobs and rendering the archived record for cache hits. The
 // request context going away stops the stream but never the job — a
 // disconnected client's run completes into the cache regardless.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job, kind string) {
-	var cachedBody []byte
-	var cachedRows int
+	// A cache hit's record is read before the headers go out, so a read
+	// failure can still answer 500.
+	var rec *archive.Record
 	if j.buf == nil {
-		rec, ok, err := s.CachedRecord(j.Hash)
+		var ok bool
+		var err error
+		rec, ok, err = s.CachedRecord(j.Hash)
 		if err != nil || !ok {
 			writeJSON(w, http.StatusInternalServerError, apiError{Error: "serve: reading cache entry failed"})
 			return
 		}
-		cachedBody = RenderRecord(rec)
-		cachedRows = rec.NSamples()
 	}
 
 	h := w.Header()
@@ -120,10 +128,14 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job, kind 
 	h.Set("Trailer", "X-Pomsimd-Status, X-Pomsimd-Rows")
 	w.WriteHeader(http.StatusOK)
 
-	if cachedBody != nil {
-		_, _ = w.Write(cachedBody)
-		h.Set("X-Pomsimd-Status", string(StateDone))
-		h.Set("X-Pomsimd-Rows", strconv.Itoa(cachedRows))
+	if rec != nil {
+		rows := writeRecord(r.Context(), w, rec)
+		status := "disconnected"
+		if rows == rec.NSamples() {
+			status = string(StateDone)
+		}
+		h.Set("X-Pomsimd-Status", status)
+		h.Set("X-Pomsimd-Rows", strconv.Itoa(rows))
 		return
 	}
 
@@ -144,6 +156,23 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job, kind 
 	}
 	h.Set("X-Pomsimd-Status", status)
 	h.Set("X-Pomsimd-Rows", strconv.Itoa(j.buf.snapshotRows()))
+}
+
+// writeRecord streams a cached record's rows to w in hitChunk writes and
+// returns how many rows it wrote; it stops early when ctx ends or a write
+// fails (the client is gone).
+func writeRecord(ctx context.Context, w io.Writer, rec *archive.Record) int {
+	chunk := make([]byte, 0, hitChunk)
+	done := 0
+	for done < rec.NSamples() && ctx.Err() == nil {
+		var next int
+		chunk, next = appendRows(chunk[:0], rec, done, hitChunk)
+		if _, err := w.Write(chunk); err != nil {
+			break
+		}
+		done = next
+	}
+	return done
 }
 
 // jobStatus is the job-API JSON shape.

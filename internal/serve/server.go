@@ -252,48 +252,6 @@ func (s *Server) CachedRecord(hash string) (*archive.Record, bool, error) {
 	return rec, true, nil
 }
 
-// ResultBody returns the complete NDJSON body of a finished job. For
-// executed jobs it snapshots the live buffer; for cache-hit jobs it
-// renders the archived record through the same row renderer, so the
-// two are byte-identical for equal specs.
-func (s *Server) ResultBody(j *Job) ([]byte, error) {
-	state, jerr := j.State()
-	switch state {
-	case StateDone:
-	case StateFailed:
-		return nil, fmt.Errorf("serve: job %s failed: %w", j.ID, jerr)
-	case StateCanceled:
-		return nil, fmt.Errorf("serve: job %s canceled", j.ID)
-	default:
-		return nil, fmt.Errorf("serve: job %s not finished (%s)", j.ID, state)
-	}
-	if j.buf != nil {
-		chunk, _, _, _ := j.buf.next(0)
-		out := make([]byte, len(chunk))
-		copy(out, chunk)
-		return out, nil
-	}
-	rec, ok, err := s.CachedRecord(j.Hash)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("serve: job %s: cache entry vanished", j.ID)
-	}
-	return RenderRecord(rec), nil
-}
-
-// RenderRecord renders an archived record to the NDJSON body its
-// original run streamed. The archive round trip is bitwise-exact and
-// AppendRow is deterministic, so the output equals the original bytes.
-func RenderRecord(rec *archive.Record) []byte {
-	var out []byte
-	for k := 0; k < rec.NSamples(); k++ {
-		out = AppendRow(out, rec.Ts[k], rec.Row(k))
-	}
-	return out
-}
-
 // Close stops accepting work, cancels in-flight jobs, waits for the
 // workers to drain, and releases the cache.
 func (s *Server) Close() error {
