@@ -22,7 +22,12 @@
 //
 // Two right-hand sides are provided: Linear (the leading-order PDE) and
 // Nonlinear (the full finite-difference flux, which remains well-posed in
-// the anti-diffusive regime because the potential saturates).
+// the anti-diffusive regime because the potential saturates). The
+// nonlinear flux is Eq. (2)'s coupling sum on a two-partner stencil, so it
+// runs through the same kernel as the discrete model, potential.Coupler:
+// each FieldSystem builds the stencil's CSR arrays once (a ring, or the
+// Neumann mirror whose end rows list their one partner twice) and every
+// evaluation is one kernel call plus ω + K·c.
 //
 // A Field bound to an initial state (Field.System) implements sim.System,
 // so continuum relaxation studies route through the same unified runtime
@@ -119,30 +124,6 @@ func (f *Field) Diffusivity() float64 {
 	return f.K * f.Grid.A * f.Grid.A * dv0
 }
 
-// rhs evaluates the time derivative of the field.
-func (f *Field) rhs(t float64, th, dth []float64) {
-	g := f.Grid
-	omega := func(x float64) float64 {
-		if f.Omega == nil {
-			return mathx.TwoPi
-		}
-		return f.Omega(x, t)
-	}
-	if f.Linear {
-		d := f.Diffusivity() / (g.A * g.A)
-		for i := 0; i < g.M; i++ {
-			lap := th[g.left(i)] + th[g.right(i)] - 2*th[i]
-			dth[i] = omega(g.X(i)) + d*lap
-		}
-		return
-	}
-	for i := 0; i < g.M; i++ {
-		coupling := f.Potential.Eval(th[g.left(i)]-th[i]) +
-			f.Potential.Eval(th[g.right(i)]-th[i])
-		dth[i] = omega(g.X(i)) + f.K*coupling
-	}
-}
-
 // Result is a completed continuum integration.
 type Result struct {
 	Grid  Grid
@@ -153,10 +134,21 @@ type Result struct {
 
 // FieldSystem is a Field bound to an initial state — the sim.System view
 // of the continuum model that Solve, SolveStream, and the scenario
-// registry integrate through the unified runtime.
+// registry integrate through the unified runtime. It owns its coupling
+// kernel and scratch, so several systems built from one Field may run
+// concurrently; a single FieldSystem is not safe for concurrent use.
 type FieldSystem struct {
 	f      *Field
 	theta0 []float64
+	// cols is the two-partner stencil: row i lists left(i) then right(i)
+	// at cols[2i], cols[2i+1], so the Neumann mirror rows 0 and M−1 list
+	// their interior partner twice.
+	cols []int32
+	// coupler runs the nonlinear flux over the stencil (nil on the linear
+	// path).
+	coupler *potential.Coupler
+	// diff is the linear path's D/a², fixed at build.
+	diff float64
 }
 
 // System validates the field configuration and binds it to theta0,
@@ -179,7 +171,25 @@ func (f *Field) System(theta0 []float64) (*FieldSystem, error) {
 	if len(theta0) != f.Grid.M {
 		return nil, fmt.Errorf("continuum: theta0 has %d points, grid %d", len(theta0), f.Grid.M)
 	}
-	return &FieldSystem{f: f, theta0: append([]float64(nil), theta0...)}, nil
+	g := f.Grid
+	cols := make([]int32, 2*g.M)
+	for i := 0; i < g.M; i++ {
+		cols[2*i], cols[2*i+1] = int32(g.left(i)), int32(g.right(i))
+	}
+	s := &FieldSystem{
+		f:      f,
+		theta0: append([]float64(nil), theta0...),
+		cols:   cols,
+		diff:   f.Diffusivity() / (g.A * g.A),
+	}
+	if !f.Linear {
+		rowPtr := make([]int32, g.M+1)
+		for i := range rowPtr {
+			rowPtr[i] = int32(2 * i)
+		}
+		s.coupler = potential.NewCoupler(f.Potential, rowPtr, cols)
+	}
+	return s, nil
 }
 
 // Dim implements sim.System.
@@ -188,8 +198,35 @@ func (s *FieldSystem) Dim() int { return s.f.Grid.M }
 // InitialState implements sim.System.
 func (s *FieldSystem) InitialState() []float64 { return s.theta0 }
 
-// Eval implements sim.System.
-func (s *FieldSystem) Eval(t float64, y, dydt []float64) { s.f.rhs(t, y, dydt) }
+// Eval implements sim.System: ω(x, t) + K·c_i with c_i the nonlinear
+// flux V(θ_left − θ_i) + V(θ_right − θ_i) from the shared coupling kernel,
+// or ω(x, t) + D·θ_xx on the linear path.
+//
+//pomvet:allocfree
+func (s *FieldSystem) Eval(t float64, y, dydt []float64) {
+	m := s.f.Grid.M
+	if s.f.Linear {
+		cols := s.cols
+		for i := 0; i < m; i++ {
+			lap := y[cols[2*i]] + y[cols[2*i+1]] - 2*y[i]
+			dydt[i] = s.omega(i, t) + s.diff*lap
+		}
+		return
+	}
+	s.coupler.SumRange(dydt, y, 0, m)
+	k := s.f.K
+	for i := 0; i < m; i++ {
+		dydt[i] = s.omega(i, t) + k*dydt[i]
+	}
+}
+
+// omega is the natural frequency ω(x_i, t): the Field's ω field, or 2π.
+func (s *FieldSystem) omega(i int, t float64) float64 {
+	if s.f.Omega == nil {
+		return mathx.TwoPi
+	}
+	return s.f.Omega(s.f.Grid.X(i), t)
+}
 
 // Solver implements sim.Tuned. Diffusion stability is handled by the
 // error controller, but the step is capped against frozen-noise-style ω

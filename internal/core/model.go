@@ -85,10 +85,11 @@ type Config struct {
 	// Parallel evaluation is bit-for-bit identical to serial evaluation:
 	// every oscillator's coupling sum is accumulated in the same order
 	// regardless of the chunking. Worth using from roughly N ≥ 512.
-	// With Workers > 1 the LocalNoise.Zeta and Potential batch methods
-	// are called concurrently from pool goroutines, so custom
-	// implementations must be safe for concurrent use (the built-in
-	// noises and potentials are stateless and qualify).
+	// With Workers > 1 the LocalNoise (Zeta, or ZetaInto when it
+	// implements noise.Batch) and Potential batch methods are called
+	// concurrently from pool goroutines, so custom implementations must be
+	// safe for concurrent use (the built-in noises and potentials are
+	// stateless and qualify).
 	Workers int
 }
 
@@ -103,16 +104,14 @@ type Model struct {
 	gain   float64
 	k      float64 // effective per-partner coupling v_p·G/N
 
-	// Hot-path state: the flat CSR neighbor arrays, the batched potential,
-	// and one scratch slot per directed edge. rhs gathers phase
-	// differences into dbuf (indexed exactly like flat.Cols), evaluates
-	// the potential over the packed buffer in one call, and reduces per
-	// row — no per-pair interface dispatch and no steady-state
-	// allocations.
-	flat  topology.FlatNeighbors
-	batch potential.Batch
-	dbuf  []float64
-	rows  []int32 // rows[p] = owning oscillator of edge p (gather loop)
+	// Hot-path state: the topology's flat CSR arrays (the DDE path walks
+	// them directly), the shared coupling kernel over them (it owns one
+	// scratch slot per directed edge), the batched local noise (nil when
+	// silent), and one ζ slot per oscillator.
+	flat    topology.FlatNeighbors
+	coupler *potential.Coupler
+	noise   noise.Batch
+	zbuf    []float64
 
 	// Parallel dispatch (Workers > 1): nw fixed chunk bounds over
 	// oscillator rows — balanced by nonzeros per row (sim.WeightedChunks
@@ -163,13 +162,10 @@ func New(cfg Config) (*Model, error) {
 	}
 	m.k = m.vp * m.gain / float64(cfg.N)
 	m.flat = cfg.Topology.Flat()
-	m.batch = potential.BatchOf(cfg.Potential)
-	m.dbuf = make([]float64, m.flat.NNZ())
-	m.rows = make([]int32, m.flat.NNZ())
-	for i := 0; i < cfg.N; i++ {
-		for p := m.flat.RowPtr[i]; p < m.flat.RowPtr[i+1]; p++ {
-			m.rows[p] = int32(i)
-		}
+	m.coupler = potential.NewCoupler(cfg.Potential, m.flat.RowPtr, m.flat.Cols)
+	if cfg.LocalNoise != nil {
+		m.noise = noise.BatchOf(cfg.LocalNoise)
+		m.zbuf = make([]float64, cfg.N)
 	}
 	m.nw = cfg.Workers
 	if m.nw < 1 {
@@ -182,8 +178,8 @@ func New(cfg Config) (*Model, error) {
 		// Chunk rows by nonzero count, not row count: on irregular
 		// topologies (hubs, power-law stencils) even row chunks would give
 		// one worker most of the edges. Any contiguous chunking yields
-		// bit-for-bit the serial result (disjoint dydt/dbuf ranges,
-		// per-row accumulation order fixed), so balance is free.
+		// bit-for-bit the serial result (disjoint dydt/zbuf/kernel buffer
+		// ranges, per-row accumulation order fixed), so balance is free.
 		m.runner = sim.NewRunner(
 			sim.WeightedChunks(m.flat.RowPtr, m.nw),
 			func(lo, hi int) { m.rhsRange(m.curT, m.curY, m.curDydt, lo, hi) },
@@ -297,36 +293,34 @@ func (m *Model) Close() {
 func (m *Model) EvalRHS(t float64, y, dydt []float64) { m.rhs(t, y, nil, dydt) }
 
 // rhsRange evaluates the delay-free right-hand side for oscillator rows
-// [lo, hi): gather the phase differences of the block into the packed
-// scratch buffer, evaluate the potential over the block in one batched
-// call, then reduce each row. Chunks touch disjoint dbuf/dydt ranges, so
-// pool workers can run this concurrently without synchronization.
+// [lo, hi): the shared kernel writes each row's coupling sum into dydt,
+// the batched noise writes the block's ζ, and one pass finishes
+// ω_i + k·c_i. Rows with ζ = 0 use the precomputed ω, which is bitwise
+// 2π/(P + 0). Chunks touch disjoint ranges, so pool workers can run this
+// concurrently without synchronization.
 //
 //pomvet:allocfree
 func (m *Model) rhsRange(t float64, y, dydt []float64, lo, hi int) {
-	rowPtr, cols, rows, buf := m.flat.RowPtr, m.flat.Cols, m.rows, m.dbuf
-	b0, b1 := rowPtr[lo], rowPtr[hi]
-	for p := b0; p < b1; p++ {
-		buf[p] = y[cols[p]] - y[rows[p]]
-	}
-	m.batch.EvalInto(buf[b0:b1], buf[b0:b1])
+	m.coupler.SumRange(dydt, y, lo, hi)
 	k := m.k
-	if m.cfg.LocalNoise == nil {
+	if m.noise == nil {
 		for i := lo; i < hi; i++ {
-			var c float64
-			for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-				c += buf[p]
-			}
-			dydt[i] = m.omega + k*c
+			dydt[i] = m.omega + k*dydt[i]
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		var c float64
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			c += buf[p]
+	zeta := m.zbuf[lo:hi]
+	m.noise.ZetaInto(zeta, lo, t)
+	guard := -0.9 * m.period
+	for i, z := range zeta {
+		freq := m.omega
+		if z < guard {
+			z = guard
 		}
-		dydt[i] = mathx.TwoPi/(m.period+m.zeta(i, t)) + k*c
+		if z != 0 {
+			freq = mathx.TwoPi / (m.period + z)
+		}
+		dydt[lo+i] = freq + k*dydt[lo+i]
 	}
 }
 

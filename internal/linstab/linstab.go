@@ -85,29 +85,37 @@ func SymEig(m *linalg.Dense) ([]float64, error) {
 	}
 	a := m.Clone()
 	n := r
+	// Row views of the working copy: the rotations below walk row slices
+	// directly, with the element operations and their order unchanged.
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = a.Row(i)
+	}
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
+		for i, ri := range rows {
+			for _, v := range ri[i+1:] {
+				off += v * v
 			}
 		}
 		if math.Sqrt(2*off) <= 1e-12*math.Max(scale, 1) {
 			eigs := make([]float64, n)
 			for i := range eigs {
-				eigs[i] = a.At(i, i)
+				eigs[i] = rows[i][i]
 			}
 			sort.Float64s(eigs)
 			return eigs, nil
 		}
 		for p := 0; p < n-1; p++ {
+			rp := rows[p]
 			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
+				rq := rows[q]
+				apq := rp[q]
 				if math.Abs(apq) <= 1e-300 {
 					continue
 				}
-				app, aqq := a.At(p, p), a.At(q, q)
+				app, aqq := rp[p], rq[q]
 				// Rotation angle (Golub & Van Loan §8.5).
 				tau := (aqq - app) / (2 * apq)
 				var t float64
@@ -118,16 +126,17 @@ func SymEig(m *linalg.Dense) ([]float64, error) {
 				}
 				cth := 1 / math.Sqrt(1+t*t)
 				sth := t * cth
-				// Apply the rotation to rows/cols p and q.
-				for i := 0; i < n; i++ {
-					aip, aiq := a.At(i, p), a.At(i, q)
-					a.Set(i, p, cth*aip-sth*aiq)
-					a.Set(i, q, sth*aip+cth*aiq)
+				// Apply the rotation to columns p and q, then rows p and q.
+				for _, ri := range rows {
+					aip, aiq := ri[p], ri[q]
+					ri[p] = cth*aip - sth*aiq
+					ri[q] = sth*aip + cth*aiq
 				}
-				for i := 0; i < n; i++ {
-					api, aqi := a.At(p, i), a.At(q, i)
-					a.Set(p, i, cth*api-sth*aqi)
-					a.Set(q, i, sth*api+cth*aqi)
+				rq = rq[:len(rp)]
+				for i, api := range rp {
+					aqi := rq[i]
+					rp[i] = cth*api - sth*aqi
+					rq[i] = sth*api + cth*aqi
 				}
 			}
 		}

@@ -29,6 +29,37 @@ type Local interface {
 	Zeta(i int, t float64) float64
 }
 
+// Batch is implemented by local noises that can evaluate ζ for a block
+// of consecutive oscillators in one call. The oscillator model's
+// right-hand side asks for each row chunk's noise at once instead of
+// dispatching one Zeta call per row.
+type Batch interface {
+	Local
+	// ZetaInto writes ζ_{lo+k}(t) into dst[k] for every k, bit-for-bit
+	// what Zeta(lo+k, t) returns.
+	ZetaInto(dst []float64, lo int, t float64)
+}
+
+// elementwise adapts any Local to Batch with a per-row loop — the
+// fallback for custom noises that only implement Zeta.
+type elementwise struct{ Local }
+
+//pomvet:allocfree
+func (e elementwise) ZetaInto(dst []float64, lo int, t float64) {
+	for k := range dst {
+		dst[k] = e.Local.Zeta(lo+k, t)
+	}
+}
+
+// BatchOf returns l itself when it already implements Batch, and an
+// elementwise adapter otherwise.
+func BatchOf(l Local) Batch {
+	if b, ok := l.(Batch); ok {
+		return b
+	}
+	return elementwise{l}
+}
+
 // Interaction is an interaction noise process τ_ij(t) ≥ 0.
 type Interaction interface {
 	// Tau returns the communication delay τ_ij(t) applied to the phase
@@ -155,10 +186,22 @@ type Delay struct {
 
 // Zeta implements Local.
 func (d Delay) Zeta(i int, t float64) float64 {
-	if i == d.Rank && t >= d.Start && t < d.Start+d.Duration {
+	if i == d.Rank && d.active(t) {
 		return d.Extra
 	}
 	return 0
+}
+
+// active reports whether t lies in the delay window.
+func (d Delay) active(t float64) bool { return t >= d.Start && t < d.Start+d.Duration }
+
+// at returns the delayed rank's offset in the block [lo, lo+n) when the
+// window is active at t, and −1 otherwise.
+func (d Delay) at(lo, n int, t float64) int {
+	if k := d.Rank - lo; k >= 0 && k < n && d.active(t) {
+		return k
+	}
+	return -1
 }
 
 // LostPhase returns the phase the delayed oscillator loses relative to an
@@ -177,6 +220,27 @@ func (s Sum) Zeta(i int, t float64) float64 {
 		z += n.Zeta(i, t)
 	}
 	return z
+}
+
+// ZetaInto implements Batch: the block accumulates each component in
+// order, exactly as Zeta does per row. A Delay adds only to its own rank;
+// skipping the other rows' "+ 0" is exact, since a sum started from +0
+// never holds −0.
+//
+//pomvet:allocfree
+func (s Sum) ZetaInto(dst []float64, lo int, t float64) {
+	clear(dst)
+	for _, n := range s {
+		if d, ok := n.(Delay); ok {
+			if k := d.at(lo, len(dst), t); k >= 0 {
+				dst[k] += d.Extra
+			}
+			continue
+		}
+		for k := range dst {
+			dst[k] += n.Zeta(lo+k, t)
+		}
+	}
 }
 
 // CommJitter is frozen interaction noise: τ_ij(t) uniform in

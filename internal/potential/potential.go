@@ -140,18 +140,24 @@ func (p Desync) Eval(d float64) float64 {
 func (p Desync) EvalInto(dst, dtheta []float64) {
 	w := 3 * math.Pi / (2 * p.Sigma)
 	for i, d := range dtheta {
-		switch {
-		case math.Abs(d) < p.Sigma:
-			dst[i] = w * d
-		case d > 0:
-			dst[i] = -math.Pi / 2 // -sin(-π/2) = +1
-		default:
-			dst[i] = math.Pi / 2 // -sin(π/2) = -1
-		}
+		dst[i] = desyncArg(d, w, p.Sigma)
 	}
 	mathx.SinInto(dst, dst)
 	for i, v := range dst {
 		dst[i] = -v
+	}
+}
+
+// desyncArg maps Δθ to the sine argument whose negated sine is Desync's
+// V(Δθ): w·Δθ inside the horizon σ, ∓π/2 on the saturated branches.
+func desyncArg(d, w, sigma float64) float64 {
+	switch {
+	case math.Abs(d) < sigma:
+		return w * d
+	case d > 0:
+		return -math.Pi / 2 // -sin(-π/2) = +1
+	default:
+		return math.Pi / 2 // -sin(π/2) = -1
 	}
 }
 
