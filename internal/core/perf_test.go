@@ -105,39 +105,64 @@ func TestRHSMatchesScalarReference(t *testing.T) {
 }
 
 // TestWorkersDeterminism asserts that parallel right-hand-side evaluation
-// reproduces the serial integration bit-for-bit, including under local
-// noise.
+// reproduces the serial integration bit-for-bit: a Kuramoto ring under
+// local noise with 4 workers, and a Desync 6×5 torus with 3 workers,
+// whose chunks start and end inside the fused kernel's 8-row blocks.
 func TestWorkersDeterminism(t *testing.T) {
 	const n = 96
 	local := noise.Sum{
 		noise.Delay{Rank: n / 2, Start: 5, Duration: 2, Extra: 50},
 		noise.Jitter{Dist: noise.Gaussian, Amp: 0.02, Refresh: 1, Seed: 7},
 	}
-	serial := perfModel(t, n, 1, local)
-	parallel := perfModel(t, n, 4, local)
-	defer parallel.Close()
-
-	resS, err := serial.Run(40, 201)
+	torus, err := topology.Torus2D(6, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resP, err := parallel.Run(40, 201)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resS.Theta) != len(resP.Theta) {
-		t.Fatalf("sample counts differ: %d vs %d", len(resS.Theta), len(resP.Theta))
-	}
-	for k := range resS.Theta {
-		for i := range resS.Theta[k] {
-			if resS.Theta[k][i] != resP.Theta[k][i] {
-				t.Fatalf("sample %d oscillator %d: serial %v != workers4 %v (diff %g)",
-					k, i, resS.Theta[k][i], resP.Theta[k][i],
-					resS.Theta[k][i]-resP.Theta[k][i])
-			}
+	desync := func(workers int) *Model {
+		m, err := New(Config{
+			N: 30, TComp: 0.8, TComm: 0.2,
+			Potential: potential.NewDesync(0.9),
+			Topology:  torus,
+			Init:      RandomPhases, PerturbSeed: 3, PerturbAmp: 1.5,
+			Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return m
 	}
-	if resS.Stats != resP.Stats {
-		t.Fatalf("solver stats diverge: serial %v, workers4 %v", resS.Stats, resP.Stats)
+	for _, tc := range []struct {
+		name             string
+		serial, parallel *Model
+	}{
+		{"kuramoto-ring/workers4", perfModel(t, n, 1, local), perfModel(t, n, 4, local)},
+		{"desync-torus6x5/workers3", desync(1), desync(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer tc.parallel.Close()
+			resS, err := tc.serial.Run(40, 201)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resP, err := tc.parallel.Run(40, 201)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resS.Theta) != len(resP.Theta) {
+				t.Fatalf("sample counts differ: %d vs %d", len(resS.Theta), len(resP.Theta))
+			}
+			for k := range resS.Theta {
+				for i := range resS.Theta[k] {
+					if resS.Theta[k][i] != resP.Theta[k][i] {
+						t.Fatalf("sample %d oscillator %d: serial %v != parallel %v (diff %g)",
+							k, i, resS.Theta[k][i], resP.Theta[k][i],
+							resS.Theta[k][i]-resP.Theta[k][i])
+					}
+				}
+			}
+			if resS.Stats != resP.Stats {
+				t.Fatalf("solver stats diverge: serial %v, parallel %v", resS.Stats, resP.Stats)
+			}
+		})
 	}
 }

@@ -6,13 +6,16 @@ import "math"
 //
 // SinInto replicates the portable Cephes algorithm of math.Sin (Cody–Waite
 // three-part π/4 range reduction plus the classic sin/cos minimax
-// polynomials). On amd64 with AVX2 the packed kernel in sinbatch_amd64.s
-// evaluates four lanes per iteration with exactly the scalar operation
-// sequence per lane (multiply/add/subtract only, no FMA contraction), so
-// results are bit-for-bit identical to math.Sin's portable path; elsewhere
-// a straight-line scalar loop with the same property runs. Arguments
-// outside the fast reduction range (|x| ≥ 2²⁹) plus NaN/±Inf fall back to
-// math.Sin itself in a patch pass.
+// polynomials). On amd64 the packed kernels in sinbatch_amd64.s evaluate
+// eight lanes (AVX-512) or four lanes (AVX2) per iteration with exactly
+// the scalar operation sequence per lane (multiply/add/subtract only, no
+// FMA contraction), so results are bit-for-bit identical to math.Sin's
+// portable path; elsewhere a straight-line scalar loop with the same
+// property runs. Arguments below 2⁻²⁷ in magnitude (±0 and subnormals
+// included) return x itself, which is exactly what the polynomial rounds
+// to there, without the slow subnormal arithmetic. Arguments outside the
+// fast reduction range (|x| ≥ 2²⁹) plus NaN/±Inf fall back to math.Sin
+// itself in a patch pass.
 
 // Pi/4 split into three parts for extended-precision modular arithmetic,
 // and the polynomial coefficients, from Cephes cmath (Moshier), as used
@@ -25,6 +28,11 @@ const (
 	// sinReduceThreshold is the maximum |x| the Cody–Waite reduction
 	// handles; beyond it math.Sin's Payne–Hanek path takes over.
 	sinReduceThreshold = 1 << 29
+
+	// sinTiny bounds the arguments whose sine is x itself: below it the
+	// polynomial's z·zz·p term is under an eighth of an ulp of x, so the
+	// final z + z·zz·p rounds back to z = x.
+	sinTiny = 0x1p-27
 )
 
 var sinCoeff = [...]float64{
@@ -54,10 +62,14 @@ func SinInto(dst, x []float64) {
 	n := len(x)
 	i := 0
 	clean := true
-	if useSinVector && n >= 4 {
-		nv := n &^ 3
-		clean = sinIntoVector(&dst[0], &x[0], nv)
-		i = nv
+	if useSin8 && n >= 8 {
+		i = n &^ 7
+		clean = sinInto8(&dst[0], &x[0], i)
+	}
+	if useSin4 && n-i >= 4 {
+		nv := (n - i) &^ 3
+		clean = sinInto4(&dst[i], &x[i], nv) && clean
+		i += nv
 	}
 	needSlow := sinIntoScalar(dst[i:n], x[i:n])
 	if !clean || needSlow {
@@ -77,7 +89,7 @@ func sinIntoScalar(dst, x []float64) bool {
 	dst = dst[:len(x)] // bounds-check elimination hint
 	needSlow := false
 	for i, v := range x {
-		if v == 0 { // preserve ±0 exactly
+		if v < sinTiny && v > -sinTiny { // sin x = x, ±0 included
 			dst[i] = v
 			continue
 		}

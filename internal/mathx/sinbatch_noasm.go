@@ -2,8 +2,15 @@
 
 package mathx
 
-// useSinVector is false off amd64: SinInto runs the scalar fast path.
-const useSinVector = false
+// Off amd64 there are no packed kernels: SinInto runs the scalar fast
+// path and NewDesyncTable returns nil. The gates are variables so tests
+// compile unchanged on every architecture.
+var useSin4, useSin8 = false, false
 
-// sinIntoVector is never called when useSinVector is false.
-func sinIntoVector(dst, x *float64, n int) bool { panic("mathx: no vector sine kernel") }
+func sinInto4(dst, x *float64, n int) bool { panic("mathx: no packed sine kernel") }
+
+func sinInto8(dst, x *float64, n int) bool { panic("mathx: no packed sine kernel") }
+
+func desyncSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int, w, sigma float64) {
+	panic("mathx: no fused Desync kernel")
+}
