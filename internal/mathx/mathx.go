@@ -198,25 +198,6 @@ func Norm2(xs []float64) float64 {
 // NormInf returns the maximum norm of xs.
 func NormInf(xs []float64) float64 { return MaxAbs(xs) }
 
-// ScaledNorm returns the RMS norm of err scaled component-wise by
-// tol_i = atol + rtol*max(|y0_i|, |y1_i|), the standard error norm used by
-// adaptive ODE step controllers (Hairer–Nørsett–Wanner II.4).
-//
-//pomvet:allocfree
-func ScaledNorm(errv, y0, y1 []float64, atol, rtol float64) float64 {
-	n := len(errv)
-	if n == 0 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		sc := atol + rtol*math.Max(math.Abs(y0[i]), math.Abs(y1[i]))
-		e := errv[i] / sc
-		s += e * e
-	}
-	return math.Sqrt(s / float64(n))
-}
-
 // Unwrap removes 2π jumps from a phase sequence in place and returns it,
 // mirroring numpy.unwrap. The first element is unchanged.
 func Unwrap(theta []float64) []float64 {

@@ -175,20 +175,6 @@ func TestNorm2MatchesNaive(t *testing.T) {
 	}
 }
 
-func TestScaledNorm(t *testing.T) {
-	errv := []float64{1e-7, 1e-7}
-	y := []float64{1, 1}
-	got := ScaledNorm(errv, y, y, 1e-8, 1e-7)
-	// scale = 1e-8 + 1e-7 = 1.08e-7 per component; err/scale ≈ 0.9259
-	want := 1e-7 / (1e-8 + 1e-7)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("ScaledNorm = %v, want %v", got, want)
-	}
-	if ScaledNorm(nil, nil, nil, 1, 1) != 0 {
-		t.Error("empty ScaledNorm must be 0")
-	}
-}
-
 func TestUnwrapMonotone(t *testing.T) {
 	// A linearly growing phase sampled after wrapping must unwrap back to
 	// (a shifted copy of) the line.

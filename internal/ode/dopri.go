@@ -72,7 +72,7 @@ type DOPRI5 struct {
 	Beta float64
 
 	k1, k2, k3, k4, k5, k6, k7 []float64
-	ytmp, yerr                 []float64
+	ytmp                       []float64
 	y, ynew, ysmp              []float64
 
 	// scratchSeg is the dense segment reused across steps when the caller
@@ -148,8 +148,13 @@ func (seg *DenseSegment) Eval(t float64, dst []float64) []float64 {
 	dst = dst[:n]
 	th := (t - seg.T0) / seg.H
 	th1 := 1 - th
+	if n >= vec8From {
+		mathx.Horner8(dst, &seg.rcont, th, th1)
+		return dst
+	}
+	r0, r1, r2, r3, r4 := seg.rcont[0][:n], seg.rcont[1][:n], seg.rcont[2][:n], seg.rcont[3][:n], seg.rcont[4][:n]
 	for i := 0; i < n; i++ {
-		dst[i] = seg.rcont[0][i] + th*(seg.rcont[1][i]+th1*(seg.rcont[2][i]+th*(seg.rcont[3][i]+th1*seg.rcont[4][i])))
+		dst[i] = r0[i] + th*(r1[i]+th1*(r2[i]+th*(r3[i]+th1*r4[i])))
 	}
 	return dst
 }
@@ -210,6 +215,12 @@ var ErrStepSizeUnderflow = errors.New("ode: step size underflow")
 
 // ErrTooManySteps reports that MaxSteps was exceeded.
 var ErrTooManySteps = errors.New("ode: too many steps")
+
+// ErrNonFinite reports a NaN error norm: a stage produced NaN (the
+// right-hand side returned one, or the state overflowed into one). The
+// step controller cannot recover from it — the next step size would be
+// NaN — so the integration stops at the first such step.
+var ErrNonFinite = errors.New("ode: non-finite error norm")
 
 // Solve integrates y' = f(t, y) from t0 to t1 starting at y0.
 func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (*Result, error) {
@@ -325,6 +336,9 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 
 		errNorm := s.step(f, t, y, h, ynew)
 		res.Stats.Evals += 6
+		if math.IsNaN(errNorm) {
+			return res, fmt.Errorf("%w at t=%g (h=%g)", ErrNonFinite, t, h)
+		}
 
 		if errNorm <= 1 { // accept
 			res.Stats.Accepted++
@@ -400,40 +414,120 @@ func checkSamplePlan(n int, at func(int) float64, t0, t1 float64) error {
 	return nil
 }
 
+// Coefficient rows in the order the 8-wide passes combine the stages
+// (stage 2 takes h·a21 at run time).
+var (
+	stage3 = [...]float64{a31, a32}
+	stage4 = [...]float64{a41, a42, a43}
+	stage5 = [...]float64{a51, a52, a53, a54}
+	stage6 = [...]float64{a61, a62, a63, a64, a65}
+	stage7 = [...]float64{a71, a73, a74, a75, a76}
+	errRow = [...]float64{e1, e3, e4, e5, e6, e7}
+	dense4 = [...]float64{d1, d3, d4, d5, d6, d7}
+)
+
+// vec8From is the smallest state dimension that step, errNorm,
+// fillDense and Eval hand to the 8-wide AVX-512 passes (math.MaxInt
+// without them). Below two full vectors the fixed cost of the kernel
+// calls outweighs the lanes (BenchmarkDOPRI5Step). Both paths give the
+// same bits; tests move the bound to run either path at every size.
+var vec8From = func() int {
+	if mathx.HasAVX512() {
+		return 16
+	}
+	return math.MaxInt
+}()
+
 // step performs one trial step of size h from (t, y) into ynew and returns
 // the scaled error norm. k1 must hold f(t, y) on entry; k2..k7 are filled.
+//
+// Each stage is one pass over the state. The passes perform exactly the
+// scalar operations of y[i] + h*(a·k) in left-to-right order, on either
+// path: h*a21 is hoisted, which the expression y[i] + h*a21*k1[i] already
+// evaluates first. errNorm then makes one more pass for the error.
 //
 //pomvet:allocfree
 func (s *DOPRI5) step(f Func, t float64, y []float64, h float64, ynew []float64) float64 {
 	n := len(y)
-	for i := 0; i < n; i++ {
-		s.ytmp[i] = y[i] + h*a21*s.k1[i]
+	ynew = ynew[:n]
+	k1, k2, k3, k4, k5, k6, k7 := s.k1[:n], s.k2[:n], s.k3[:n], s.k4[:n], s.k5[:n], s.k6[:n], s.k7[:n]
+	ytmp := s.ytmp[:n]
+	if n >= vec8From {
+		// Stage 2 with an outer factor of 1: y + 1*((h*a21)*k1) is
+		// y + (h*a21)*k1 exactly.
+		ha21 := [1]float64{h * a21}
+		mathx.LinComb8(ytmp, y, 1, ha21[:], k1)
+		f(t+c2*h, ytmp, k2)
+		mathx.LinComb8(ytmp, y, h, stage3[:], k1, k2)
+		f(t+c3*h, ytmp, k3)
+		mathx.LinComb8(ytmp, y, h, stage4[:], k1, k2, k3)
+		f(t+c4*h, ytmp, k4)
+		mathx.LinComb8(ytmp, y, h, stage5[:], k1, k2, k3, k4)
+		f(t+c5*h, ytmp, k5)
+		mathx.LinComb8(ytmp, y, h, stage6[:], k1, k2, k3, k4, k5)
+		f(t+h, ytmp, k6)
+		mathx.LinComb8(ynew, y, h, stage7[:], k1, k3, k4, k5, k6)
+		f(t+h, ynew, k7)
+		return s.errNorm(h, y, ynew)
 	}
-	f(t+c2*h, s.ytmp, s.k2)
+
+	ha21 := h * a21
 	for i := 0; i < n; i++ {
-		s.ytmp[i] = y[i] + h*(a31*s.k1[i]+a32*s.k2[i])
+		ytmp[i] = y[i] + ha21*k1[i]
 	}
-	f(t+c3*h, s.ytmp, s.k3)
+	f(t+c2*h, ytmp, k2)
 	for i := 0; i < n; i++ {
-		s.ytmp[i] = y[i] + h*(a41*s.k1[i]+a42*s.k2[i]+a43*s.k3[i])
+		ytmp[i] = y[i] + h*(a31*k1[i]+a32*k2[i])
 	}
-	f(t+c4*h, s.ytmp, s.k4)
+	f(t+c3*h, ytmp, k3)
 	for i := 0; i < n; i++ {
-		s.ytmp[i] = y[i] + h*(a51*s.k1[i]+a52*s.k2[i]+a53*s.k3[i]+a54*s.k4[i])
+		ytmp[i] = y[i] + h*(a41*k1[i]+a42*k2[i]+a43*k3[i])
 	}
-	f(t+c5*h, s.ytmp, s.k5)
+	f(t+c4*h, ytmp, k4)
 	for i := 0; i < n; i++ {
-		s.ytmp[i] = y[i] + h*(a61*s.k1[i]+a62*s.k2[i]+a63*s.k3[i]+a64*s.k4[i]+a65*s.k5[i])
+		ytmp[i] = y[i] + h*(a51*k1[i]+a52*k2[i]+a53*k3[i]+a54*k4[i])
 	}
-	f(t+h, s.ytmp, s.k6)
+	f(t+c5*h, ytmp, k5)
 	for i := 0; i < n; i++ {
-		ynew[i] = y[i] + h*(a71*s.k1[i]+a73*s.k3[i]+a74*s.k4[i]+a75*s.k5[i]+a76*s.k6[i])
+		ytmp[i] = y[i] + h*(a61*k1[i]+a62*k2[i]+a63*k3[i]+a64*k4[i]+a65*k5[i])
 	}
-	f(t+h, ynew, s.k7)
+	f(t+h, ytmp, k6)
 	for i := 0; i < n; i++ {
-		s.yerr[i] = h * (e1*s.k1[i] + e3*s.k3[i] + e4*s.k4[i] + e5*s.k5[i] + e6*s.k6[i] + e7*s.k7[i])
+		ynew[i] = y[i] + h*(a71*k1[i]+a73*k3[i]+a74*k4[i]+a75*k5[i]+a76*k6[i])
 	}
-	return mathx.ScaledNorm(s.yerr, y, ynew, s.Atol, s.Rtol)
+	f(t+h, ynew, k7)
+	return s.errNorm(h, y, ynew)
+}
+
+// errNorm returns the RMS norm of the step's error estimate h*(e·k),
+// scaled component-wise by atol + rtol*max(|y|, |ynew|) (Hairer–Nørsett–
+// Wanner II.4). The estimate is never stored: each component goes
+// straight into the sum, which runs in element order. math.Max is
+// inlined; a NaN on either side gives NaN, and both sides are ≥ +0
+// otherwise.
+//
+//pomvet:allocfree
+func (s *DOPRI5) errNorm(h float64, y, ynew []float64) float64 {
+	n := len(y)
+	ynew = ynew[:n]
+	k1, k3, k4, k5, k6, k7 := s.k1[:n], s.k3[:n], s.k4[:n], s.k5[:n], s.k6[:n], s.k7[:n]
+	if n >= vec8From {
+		ks := [6][]float64{k1, k3, k4, k5, k6, k7}
+		sum := mathx.ErrSumSq8(y, ynew, h, s.Atol, s.Rtol, &errRow, &ks)
+		return math.Sqrt(sum / float64(n))
+	}
+	atol, rtol := s.Atol, s.Rtol
+	var sum float64
+	for i := 0; i < n; i++ {
+		est := h * (e1*k1[i] + e3*k3[i] + e4*k4[i] + e5*k5[i] + e6*k6[i] + e7*k7[i])
+		a, b := math.Abs(y[i]), math.Abs(ynew[i])
+		if a > b || math.IsNaN(a) {
+			b = a
+		}
+		e := est / (atol + rtol*b)
+		sum += e * e
+	}
+	return math.Sqrt(sum / float64(n))
 }
 
 // fillDense writes the continuous extension of the step just accepted
@@ -443,14 +537,22 @@ func (s *DOPRI5) step(f Func, t float64, y []float64, h float64, ynew []float64)
 func (s *DOPRI5) fillDense(seg *DenseSegment, t, h float64, y, ynew []float64) {
 	n := len(y)
 	seg.T0, seg.H = t, h
+	k1, k3, k4, k5, k6, k7 := s.k1[:n], s.k3[:n], s.k4[:n], s.k5[:n], s.k6[:n], s.k7[:n]
+	if n >= vec8From {
+		mathx.DenseFill8(&seg.rcont, y, ynew, k1, k7, h)
+		mathx.LinComb8(seg.rcont[4], nil, h, dense4[:], k1, k3, k4, k5, k6, k7)
+		return
+	}
+	ynew = ynew[:n]
+	r0, r1, r2, r3, r4 := seg.rcont[0][:n], seg.rcont[1][:n], seg.rcont[2][:n], seg.rcont[3][:n], seg.rcont[4][:n]
 	for i := 0; i < n; i++ {
 		ydiff := ynew[i] - y[i]
-		bspl := h*s.k1[i] - ydiff
-		seg.rcont[0][i] = y[i]
-		seg.rcont[1][i] = ydiff
-		seg.rcont[2][i] = bspl
-		seg.rcont[3][i] = ydiff - h*s.k7[i] - bspl
-		seg.rcont[4][i] = h * (d1*s.k1[i] + d3*s.k3[i] + d4*s.k4[i] + d5*s.k5[i] + d6*s.k6[i] + d7*s.k7[i])
+		bspl := h*k1[i] - ydiff
+		r0[i] = y[i]
+		r1[i] = ydiff
+		r2[i] = bspl
+		r3[i] = ydiff - h*k7[i] - bspl
+		r4[i] = h * (d1*k1[i] + d3*k3[i] + d4*k4[i] + d5*k5[i] + d6*k6[i] + d7*k7[i])
 	}
 }
 
@@ -507,6 +609,5 @@ func (s *DOPRI5) alloc(n int) {
 	s.k6 = grow(s.k6, n)
 	s.k7 = grow(s.k7, n)
 	s.ytmp = grow(s.ytmp, n)
-	s.yerr = grow(s.yerr, n)
 	s.ysmp = grow(s.ysmp, n)
 }

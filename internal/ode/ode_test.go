@@ -1,7 +1,9 @@
 package ode
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -212,6 +214,72 @@ func TestDOPRI5MaxSteps(t *testing.T) {
 	_, err := s.Solve(harmonic, []float64{1, 0}, 0, 100, SolveOptions{})
 	if err == nil {
 		t.Fatal("want ErrTooManySteps")
+	}
+}
+
+// poisonOnce returns a decay right-hand side whose k-th call writes v
+// into component 0; every other call is y' = -y.
+func poisonOnce(k int, v float64) Func {
+	calls := 0
+	return func(_ float64, y, dydt []float64) {
+		calls++
+		expDecay(0, y, dydt)
+		if calls == k {
+			dydt[0] = v
+		}
+	}
+}
+
+// TestDOPRI5NaNFailsFast pins the NaN guard: a NaN error norm stops the
+// run at once with ErrNonFinite, where the controller used to turn h into
+// NaN and spin until MaxSteps (60,000,001 evaluations by default) before
+// reporting ErrTooManySteps. Call 7 is the FSAL stage of the first step
+// (H0 set, so no initial-step probes).
+func TestDOPRI5NaNFailsFast(t *testing.T) {
+	s := NewDOPRI5(1e-8, 1e-6)
+	s.H0 = 0.01
+	res, err := s.Solve(poisonOnce(7, math.NaN()), []float64{1, 2}, 0, 10, SolveOptions{})
+	if !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("err = %v, want ErrNonFinite", err)
+	}
+	if !strings.Contains(err.Error(), "t=0 ") || !strings.Contains(err.Error(), "h=0.01") {
+		t.Errorf("error %q does not name t and h", err)
+	}
+	if res.Stats.Evals >= 100 {
+		t.Errorf("%d evaluations before failing, want < 100", res.Stats.Evals)
+	}
+
+	dde := func(tt float64, y []float64, past Past, dydt []float64) {
+		for i := range y {
+			dydt[i] = -past.Eval(i, tt-0.5)
+		}
+		if tt > 1 {
+			dydt[1] = math.NaN()
+		}
+	}
+	res, err = NewDOPRI5(1e-8, 1e-6).SolveDDE(dde, []float64{1, 2}, 0, 10, DDEOptions{MaxDelay: 0.5})
+	if !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("SolveDDE err = %v, want ErrNonFinite", err)
+	}
+	if res.Stats.Evals >= 100 {
+		t.Errorf("SolveDDE: %d evaluations before failing, want < 100", res.Stats.Evals)
+	}
+}
+
+// TestDOPRI5InfNormRecovers keeps the Inf handling: an infinite error
+// norm is a rejection that shrinks h, and the retry can succeed.
+func TestDOPRI5InfNormRecovers(t *testing.T) {
+	s := NewDOPRI5(1e-8, 1e-6)
+	s.H0 = 0.01
+	res, err := s.Solve(poisonOnce(7, math.Inf(1)), []float64{1, 2}, 0, 1, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Rejected == 0 {
+		t.Error("the infinite norm was not rejected")
+	}
+	if got, want := res.Last()[0], math.Exp(-1); math.Abs(got-want) > 1e-6 {
+		t.Errorf("y(1) = %v, want %v", got, want)
 	}
 }
 
