@@ -92,10 +92,11 @@ func New(cfg Config) (*Model, error) {
 // Omegas returns the drawn natural frequencies.
 func (m *Model) Omegas() []float64 { return m.omegas }
 
-// CriticalCoupling returns the mean-field onset K_c = 2/(π·g(ω̄)) for the
-// Gaussian frequency distribution, g(ω̄) = 1/(σ√(2π)):
+// CriticalCoupling returns Kuramoto's mean-field onset of synchrony for
+// the Gaussian frequency distribution, centred on its mean so that its
+// peak density is g(0) = 1/(σ√(2π)):
 //
-//	K_c = 2σ·√(2/π)... precisely K_c = 2/(π·g(0-centered peak)) = σ·√(8/π).
+//	K_c = 2/(π·g(0)) = 2σ√(2π)/π = σ·√(8/π).
 func (m *Model) CriticalCoupling() float64 {
 	if m.cfg.FreqStd == 0 {
 		return 0

@@ -16,6 +16,10 @@ import "math"
 // to there, without the slow subnormal arithmetic. Arguments outside the
 // fast reduction range (|x| ≥ 2²⁹) plus NaN/±Inf fall back to math.Sin
 // itself in a patch pass.
+//
+// SincosInto does the same for math.Sincos: one reduction, both
+// polynomials, swapped and signed per octant, in an AVX-512 kernel only.
+// Without AVX-512 it is a math.Sincos loop.
 
 // Pi/4 split into three parts for extended-precision modular arithmetic,
 // and the polynomial coefficients, from Cephes cmath (Moshier), as used
@@ -127,4 +131,29 @@ func sinIntoScalar(dst, x []float64) bool {
 		dst[i] = r
 	}
 	return needSlow
+}
+
+// SincosInto writes sin(x[i]) into sin[i] and cos(x[i]) into cos[i] for
+// every i, bit for bit math.Sincos. The three slices must have equal
+// length. Either output may alias x exactly; sin and cos must not alias
+// each other.
+func SincosInto(sin, cos, x []float64) {
+	if len(sin) != len(x) || len(cos) != len(x) {
+		panic("mathx: SincosInto length mismatch")
+	}
+	if !useSin8 || len(x) == 0 {
+		for i, v := range x {
+			sin[i], cos[i] = math.Sincos(v)
+		}
+		return
+	}
+	if !sincosInto8(&sin[0], &cos[0], &x[0], len(x)) {
+		// The skipped elements still hold their argument in an aliased
+		// output; every other element holds a value in [−1, 1].
+		for i, v := range x {
+			if !(math.Abs(v) < sinReduceThreshold) {
+				sin[i], cos[i] = math.Sincos(v)
+			}
+		}
+	}
 }

@@ -60,6 +60,17 @@ func sinInto4(dst, x *float64, n int) bool
 //go:noescape
 func sinInto8(dst, x *float64, n int) bool
 
+// sincosInto8 evaluates n sines and cosines with the AVX-512 kernel,
+// masking the final partial block. Per lane it performs math.Sincos's
+// fast-path operation sequence, so results are bit-identical to
+// math.Sincos. It reports true when every lane stayed inside the fast
+// reduction range; otherwise the caller must patch the out-of-range
+// elements with math.Sincos (both of their output lanes hold the
+// original argument).
+//
+//go:noescape
+func sincosInto8(sin, cos, x *float64, n int) bool
+
 // desyncSums8 is the fused AVX-512 kernel behind DesyncTable.Sums.
 //
 //go:noescape

@@ -9,18 +9,23 @@
 //                640 tiny (2⁻²⁷), 672 signMask, 704 π/2
 //   sinVecTabI32 int32×4 groups: 0 [1], 16 [7], 32 [3], 48 [2], 64 [4]
 
-// SIN8 is the 8-wide (AVX-512) Cephes sine: Z10 = sin(Z0) per lane, with
-// the scalar fast path's exact operation sequence (VMULPD/VADDPD/VSUBPD
-// only, no FMA), so every lane is bit-identical to math.Sin. Tiny lanes
-// (|x| < 2⁻²⁷, ±0 included) run the polynomial on 0 and get x blended
-// back, so no lane does subnormal arithmetic. The octant j lives in the
-// low eight int32 lanes of Z5; after j += j&1 it is even, so bit 2 marks
-// the reflected octants and bit 1 the cosine kernel.
+// SINCOS8_POLY is the shared front of the 8-wide (AVX-512) Cephes sine
+// and sine/cosine: the Cody–Waite octant reduction of |Z0| and both
+// minimax polynomials, with the scalar fast path's exact operation
+// sequence (VMULPD/VADDPD/VSUBPD only, no FMA), so every lane is
+// bit-identical to math.Sin and math.Sincos. Tiny lanes (|x| < 2⁻²⁷, ±0
+// included) run the polynomials on 0, so no lane does subnormal
+// arithmetic; there the sine polynomial is ±0 and the cosine one exactly
+// 1. The octant j lives in the low eight int32 lanes of Z5; after
+// j += j&1 it is even, so bit 2 marks the reflected octants and bit 1
+// the octants whose sine is the cosine polynomial.
 //
 //   in:  Z0 = x, plus SIN8_SETUP's registers
-//   out: Z10 = sin x; K2 = lanes with |x| < 2²⁹ (the rest hold garbage)
+//   out: Z10 = sine polynomial, Z11 = cosine polynomial, Z2 = sign of
+//        sin x (−0 or +0), Z5 = j, K2 = lanes with |x| < 2²⁹ (the rest
+//        hold garbage), K3 = tiny lanes, K5 = lanes with j&2 set
 //   clobbers Z1-Z11, K3-K5
-#define SIN8 \
+#define SINCOS8_POLY \
 	VPANDQ Z31, Z0, Z1; \
 	VPXORQ Z1, Z0, Z2; \
 	VCMPPD.BCST $0x11, 608(R8), Z1, K2; \
@@ -68,7 +73,16 @@
 	VMULPD Z11, Z6, Z11; \
 	VMULPD.BCST 512(R8), Z8, Z6; \
 	VSUBPD Z6, Z29, Z6; \
-	VADDPD Z11, Z6, Z11; \
+	VADDPD Z11, Z6, Z11
+
+// SIN8 is the 8-wide Cephes sine: Z10 = sin(Z0) per lane, bit for bit
+// math.Sin. Tiny lanes get x blended back.
+//
+//   in:  Z0 = x, plus SIN8_SETUP's registers
+//   out: Z10 = sin x; K2 = lanes with |x| < 2²⁹ (the rest hold garbage)
+//   clobbers Z1-Z11, K3-K5
+#define SIN8 \
+	SINCOS8_POLY; \
 	VBLENDMPD Z11, Z10, K5, Z10; \
 	VPXORQ Z2, Z10, Z10; \
 	VMOVAPD Z0, K3, Z10
@@ -238,6 +252,62 @@ done8:
 	KMOVB K7, AX
 	CMPB AL, $0xFF
 	SETEQ ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func sincosInto8(sin, cos, x *float64, n int) bool
+//
+// SincosInto's 8-wide loop over all n elements: SINCOS8_POLY per block of
+// eight, with K1 masking the last block's load and stores to the lanes
+// below n (the zeroed lanes beyond run on x = 0, which is in range). The
+// j&2 octants swap the two polynomials; sin takes the sign of x
+// reflected by j&4, cos the sign (j&4) xor (j&2), which is bit 2 of
+// j + 2. Lanes with |x| ≥ 2²⁹ or NaN/Inf keep their argument in both
+// outputs for the caller's math.Sincos patch pass; the result is true
+// when there were none.
+TEXT ·sincosInto8(SB), NOSPLIT, $0-33
+	MOVQ sin+0(FP), DI
+	MOVQ cos+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ n+24(FP), R11
+	SIN8_SETUP
+	KXNORB K7, K7, K7        // okAcc = all lanes
+	XORQ AX, AX
+
+sc8:
+	MOVQ R11, CX
+	SUBQ AX, CX              // elements left
+	JLE  sc8done
+	MOVL $0xFF, BX           // K1 = lanes below n
+	CMPQ CX, $8
+	JGE  sc8mask
+	MOVL $1, BX
+	SHLL CX, BX
+	DECL BX
+sc8mask:
+	KMOVB BX, K1
+	VMOVUPD.Z (SI)(AX*8), K1, Z0
+	SINCOS8_POLY
+	KANDB K2, K7, K7         // okAcc &= ok
+	VBLENDMPD Z11, Z10, K5, Z12 // sin
+	VBLENDMPD Z10, Z11, K5, Z13 // cos
+	VPXORQ Z2, Z12, Z12
+	VMOVAPD Z0, K3, Z12      // tiny lanes: sin x = x (cos is exactly 1)
+	VPADDD.BCST 48(R9), Z5, Z6
+	VPTESTMD.BCST 64(R9), Z6, K4
+	VPXORQ Z30, Z13, K4, Z13
+	KNOTB K2, K6
+	VMOVAPD Z0, K6, Z12      // out-of-range lanes keep x
+	VMOVAPD Z0, K6, Z13
+	VMOVUPD Z12, K1, (DI)(AX*8)
+	VMOVUPD Z13, K1, (DX)(AX*8)
+	ADDQ $8, AX
+	JMP  sc8
+
+sc8done:
+	KMOVB K7, AX
+	CMPB AL, $0xFF
+	SETEQ ret+32(FP)
 	VZEROUPPER
 	RET
 

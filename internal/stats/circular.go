@@ -6,6 +6,10 @@ import (
 	"repro/internal/mathx"
 )
 
+// orderChunk is how many phases OrderParameter hands mathx.SincosInto at
+// a time, through two stack arrays.
+const orderChunk = 64
+
 // OrderParameter returns the Kuramoto order parameter r ∈ [0, 1] and the
 // mean phase ψ of a set of oscillator phases:
 //
@@ -14,6 +18,9 @@ import (
 // r = 1 means perfect synchrony, r ≈ 0 a uniformly spread (incoherent or
 // perfectly desynchronized) phase distribution. This is the classic global
 // synchrony measure used to compare POM against the plain Kuramoto model.
+// The sines and cosines come from mathx.SincosInto in chunks and are
+// summed in element order, so r and ψ carry the bits of a math.Sincos
+// loop.
 //
 //pomvet:allocfree
 func OrderParameter(theta []float64) (r, psi float64) {
@@ -21,11 +28,16 @@ func OrderParameter(theta []float64) (r, psi float64) {
 	if n == 0 {
 		return 0, 0
 	}
+	var s, c [orderChunk]float64
 	var sx, sy float64
-	for _, th := range theta {
-		s, c := math.Sincos(th)
-		sy += s
-		sx += c
+	for lo := 0; lo < n; lo += orderChunk {
+		th := theta[lo:min(lo+orderChunk, n)]
+		ss, cc := s[:len(th)], c[:len(th)]
+		mathx.SincosInto(ss, cc, th)
+		for i, v := range ss {
+			sy += v
+			sx += cc[i]
+		}
 	}
 	sx /= float64(n)
 	sy /= float64(n)
@@ -50,38 +62,4 @@ func PhaseSpread(theta []float64) float64 {
 // AdjacentDiffs fills dst with θ_{i+1} − θ_i and returns it.
 func AdjacentDiffs(dst, theta []float64) []float64 {
 	return mathx.Diff(dst, theta)
-}
-
-// CircularMean returns the circular mean angle of the sample in (-π, π].
-func CircularMean(theta []float64) float64 {
-	_, psi := OrderParameter(theta)
-	return psi
-}
-
-// CircularVariance returns 1 − r, a [0, 1] dispersion measure of phases on
-// the circle.
-func CircularVariance(theta []float64) float64 {
-	r, _ := OrderParameter(theta)
-	return 1 - r
-}
-
-// LocalOrderParameter returns the order parameter restricted to each
-// oscillator's neighborhood defined by neighbor lists. It distinguishes
-// locally synchronized traveling waves (high local, low global order) from
-// global synchrony. neighbors[i] lists the indices coupled to i.
-func LocalOrderParameter(theta []float64, neighbors [][]int) []float64 {
-	out := make([]float64, len(theta))
-	buf := make([]float64, 0, 8)
-	for i := range theta {
-		buf = buf[:0]
-		buf = append(buf, theta[i])
-		for _, j := range neighbors[i] {
-			if j >= 0 && j < len(theta) {
-				buf = append(buf, theta[j])
-			}
-		}
-		r, _ := OrderParameter(buf)
-		out[i] = r
-	}
-	return out
 }
