@@ -20,6 +20,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/ode"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -311,7 +312,7 @@ func BenchmarkRHSFlat1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.EvalRHS(0, y, dydt)
+		m.Eval(0, y, dydt)
 	}
 }
 
@@ -321,11 +322,11 @@ func BenchmarkRHSFlat1024(b *testing.B) {
 func BenchmarkRHSFlatWorkers1024(b *testing.B) {
 	m, y, dydt := benchRHSModel(b, 1024, 4)
 	defer m.Close()
-	m.EvalRHS(0, y, dydt) // start the pool outside the timed region
+	m.Eval(0, y, dydt) // start the pool outside the timed region
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.EvalRHS(0, y, dydt)
+		m.Eval(0, y, dydt)
 	}
 }
 
@@ -336,11 +337,11 @@ func BenchmarkRHSFlat8192Workers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			m, y, dydt := benchRHSModel(b, 8192, workers)
 			defer m.Close()
-			m.EvalRHS(0, y, dydt)
+			m.Eval(0, y, dydt)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.EvalRHS(0, y, dydt)
+				m.Eval(0, y, dydt)
 			}
 		})
 	}
@@ -600,7 +601,7 @@ func benchSweepConfig(sigma float64) (core.Config, error) {
 // BenchmarkSweepBytesPerPoint contrasts the two sweep memory models on an
 // identical 16-point σ sweep. "materialized" retains each point's
 // *core.Result (trajectory rows) the way a pre-streaming sweep had to;
-// "streamed" runs each point through core.Model.RunStream and keeps only
+// "streamed" runs each point through sim.RunSummary and keeps only
 // the O(N) Summary. The B/point metric (heap bytes allocated per sweep
 // point) grows linearly with samples in materialized mode and stays flat
 // in streamed mode — the O(1)-in-nSamples evidence the ROADMAP's
@@ -648,10 +649,10 @@ func BenchmarkSweepBytesPerPoint(b *testing.B) {
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
 			for i := 0; i < b.N; i++ {
-				sums := make([]*core.Summary, nPoints)
+				sums := make([]*sim.Summary, nPoints)
 				err := sweep.RunReduce(context.Background(), nPoints, 4,
 					func(i int) float64 { return sigmas[i] },
-					func(_ context.Context, sigma float64) (*core.Summary, error) {
+					func(_ context.Context, sigma float64) (*sim.Summary, error) {
 						cfg, err := benchSweepConfig(sigma)
 						if err != nil {
 							return nil, err
@@ -660,9 +661,9 @@ func BenchmarkSweepBytesPerPoint(b *testing.B) {
 						if err != nil {
 							return nil, err
 						}
-						return m.RunSummary(60, nSamples, 0.1, 0.15)
+						return sim.RunSummary(m, 60, nSamples, 0.1, 0.15)
 					},
-					func(i int, _ float64, s *core.Summary) { sums[i] = s })
+					func(i int, _ float64, s *sim.Summary) { sums[i] = s })
 				if err != nil {
 					b.Fatal(err)
 				}

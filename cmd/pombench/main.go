@@ -33,6 +33,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -156,7 +157,7 @@ func pointFunc(sh shapeSpec) sweep.ArchivePointFunc {
 		if err != nil {
 			return err
 		}
-		if _, err := m.RunStream(sh.tEnd, sh.samples, rec); err != nil {
+		if _, err := sim.RunStream(m, sh.tEnd, sh.samples, rec); err != nil {
 			return err
 		}
 		return rec.Finish(nil, nil)

@@ -197,32 +197,26 @@ func main() {
 		return
 	}
 
-	// Non-POM families (a -config scenario with "family": "kuramoto" or
-	// "continuum") run through the unified sim runtime: streamed
-	// accumulators, optional archiving — the same stack, any model.
-	if fam := spec.Family; fam != "" && fam != "pom" {
+	// Streaming runs (every non-POM family, and the POM with -stream or
+	// -archive) go through the unified sim runtime: streamed
+	// accumulators and optional archiving, the same stack for any model.
+	pom := spec.Family == "" || spec.Family == "pom"
+	if !pom || *stream || *archDir != "" {
 		if *svgDir != "" {
-			log.Fatalf("-svg is POM-only; family %q runs in streaming mode", fam)
+			if !pom {
+				log.Fatalf("-svg is POM-only; family %q runs in streaming mode", spec.Family)
+			}
+			log.Fatal("-svg needs the materialized trajectory; drop -stream/-archive")
 		}
 		reportFamily(spec, *archDir)
 		return
 	}
 
-	cfg, runEnd, runSamples, err := spec.Build()
+	sys, runEnd, runSamples, err := spec.BuildSystem()
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *stream || *archDir != "" {
-		if *svgDir != "" {
-			log.Fatal("-svg needs the materialized trajectory; drop -stream/-archive")
-		}
-		reportStream(spec, m, runEnd, runSamples, *archDir)
-		return
-	}
+	m := sys.(*core.Model)
 	res, err := m.Run(runEnd, runSamples)
 	if err != nil {
 		log.Fatal(err)
@@ -255,7 +249,7 @@ func openArchiveRecord(archDir string, params []float64) (*archive.Writer, *arch
 }
 
 // sealArchiveRecord finishes the record with the summary-metric vector
-// (core.Summary.Vector layout) and seals the shard.
+// (sim.Summary.Vector layout) and seals the shard.
 func sealArchiveRecord(aw *archive.Writer, rec *archive.RecordWriter, metrics []float64, nSamples int) {
 	if err := rec.Finish(metrics, nil); err != nil {
 		log.Fatal(err)
@@ -266,57 +260,67 @@ func sealArchiveRecord(aw *archive.Writer, rec *archive.RecordWriter, metrics []
 	fmt.Printf("archived %d sample rows to %s (point %d)\n", nSamples, aw.Path(), rec.Index())
 }
 
-// reportFamily runs a non-POM scenario through the unified runtime: the
-// spec builds into a sim.System via the family registry, the sample rows
-// stream through the shared accumulator set, and — with a non-empty
-// archDir — into a new shard of the disk-backed archive, exactly like a
-// POM streaming run. Only O(N) accumulator state is ever retained.
+// archiveParams is the params vector of an archived run: the resolved run
+// controls [dim, t_end, samples] plus the family's physical parameters,
+// so archived trajectories can be tied back to the configuration that
+// produced them.
+func archiveParams(spec *scenario.Spec, sys sim.System, tEnd float64, nSamples int) []float64 {
+	params := []float64{float64(sys.Dim()), tEnd, float64(nSamples)}
+	switch spec.Family {
+	case "", "pom":
+		params = append(params, spec.Potential.Sigma)
+	case "kuramoto":
+		k := spec.Kuramoto
+		params = append(params, k.K, k.FreqMean, k.FreqStd, float64(k.Seed))
+	case "continuum":
+		c := spec.Continuum
+		params = append(params, c.K, c.A, c.Potential.Sigma)
+	case "torus2d":
+		t := spec.Torus2D
+		params = append(params, float64(t.NX), float64(t.NY), float64(t.CouplingRadius()), t.Potential.Sigma)
+	case "linstab":
+		l := spec.Linstab
+		scanKind := 0.0 // 0 = gap scan, 1 = coupling scan
+		if l.Scan == "coupling" {
+			scanKind = 1
+		}
+		params = append(params, l.From, l.To, float64(l.ScanPoints()),
+			scanKind, l.Coupling(), l.Gap, l.Potential.Sigma)
+	case "cluster":
+		c := spec.Cluster
+		params = append(params, float64(c.N), float64(c.Iters), c.MessageBytes())
+	}
+	return params
+}
+
+// reportFamily runs a scenario in streaming mode through the unified
+// runtime: the spec builds into a sim.System via the family registry, the
+// sample rows stream through the shared accumulator set, and — with a
+// non-empty archDir — into a new shard of the disk-backed archive. Only
+// O(N) accumulator state is ever retained, and the printed metrics are
+// bit-for-bit the ones derived from a materialized trajectory.
 func reportFamily(spec *scenario.Spec, archDir string) {
 	sys, tEnd, nSamples, err := spec.BuildSystem()
 	if err != nil {
 		log.Fatal(err)
 	}
+	pom := spec.Family == "" || spec.Family == "pom"
 
+	// Per-family streaming sinks ride the same single pass: the wave
+	// detectors, slip counter and front tracker see exactly the rows the
+	// accumulators and the archive record see.
+	extra, printFamily := familySinks(spec, sys)
+
+	// Archiving is one more sink, so the rows on disk are exactly the rows
+	// the accumulators saw. Each pomsim invocation gets its own shard (and
+	// uses the shard id as the point index), so successive runs
+	// accumulate in one directory.
 	var aw *archive.Writer
 	var rec *archive.RecordWriter
-	var extra []sim.Sink
 	if archDir != "" {
-		// The params vector carries the run controls plus the family's
-		// physical parameters, so archived trajectories can be tied back
-		// to the configuration that produced them (the POM path archives
-		// [N, TEnd, nSamples, Sigma] the same way).
-		params := []float64{float64(sys.Dim()), tEnd, float64(nSamples)}
-		switch spec.Family {
-		case "kuramoto":
-			k := spec.Kuramoto
-			params = append(params, k.K, k.FreqMean, k.FreqStd, float64(k.Seed))
-		case "continuum":
-			c := spec.Continuum
-			params = append(params, c.K, c.A, c.Potential.Sigma)
-		case "torus2d":
-			t := spec.Torus2D
-			params = append(params, float64(t.NX), float64(t.NY), float64(t.CouplingRadius()), t.Potential.Sigma)
-		case "linstab":
-			l := spec.Linstab
-			scanKind := 0.0 // 0 = gap scan, 1 = coupling scan
-			if l.Scan == "coupling" {
-				scanKind = 1
-			}
-			params = append(params, l.From, l.To, float64(l.ScanPoints()),
-				scanKind, l.Coupling(), l.Gap, l.Potential.Sigma)
-		case "cluster":
-			c := spec.Cluster
-			params = append(params, float64(c.N), float64(c.Iters), c.MessageBytes())
-		}
-		aw, rec = openArchiveRecord(archDir, params)
+		aw, rec = openArchiveRecord(archDir, archiveParams(spec, sys, tEnd, nSamples))
 		extra = append(extra, rec)
 	}
-
-	// Per-family streaming sinks ride the same single pass: the slip
-	// counter and front tracker see exactly the rows the accumulators
-	// and the archive record see.
-	famSinks, printFamily := familySinks(spec)
-	extra = append(extra, famSinks...)
 
 	sum, err := sim.RunSummaryTo(sys, tEnd, nSamples, 0.1, 0.15, extra...)
 	if err != nil {
@@ -326,8 +330,14 @@ func reportFamily(spec *scenario.Spec, archDir string) {
 		sealArchiveRecord(aw, rec, sum.Vector(), nSamples)
 	}
 
-	fmt.Printf("%s run (unified runtime, streaming): %s  dim=%d t_end=%g samples=%d\n",
-		spec.Family, spec.Name, sys.Dim(), tEnd, nSamples)
+	if pom {
+		m := sys.(*core.Model)
+		fmt.Printf("POM run (streaming): %s  N=%d potential=%s offsets=%v v_p=%.3g coupling=%.3g\n",
+			spec.Name, spec.N, spec.Potential.Kind, spec.Offsets, m.Vp(), m.Coupling())
+	} else {
+		fmt.Printf("%s run (unified runtime, streaming): %s  dim=%d t_end=%g samples=%d\n",
+			spec.Family, spec.Name, sys.Dim(), tEnd, nSamples)
+	}
 	fmt.Printf("solver: %s\n", sum.Stats)
 	fmt.Printf("asymptotic spread: %.4f rad   max spread: %.4f rad\n",
 		sum.AsymptoticSpread, sum.MaxSpread)
@@ -335,23 +345,64 @@ func reportFamily(spec *scenario.Spec, archDir string) {
 		fmt.Printf("iteration skew (spread/2π): asymptotic %.3f   max %.3f iterations\n",
 			sum.AsymptoticSpread/(2*math.Pi), sum.MaxSpread/(2*math.Pi))
 	}
-	fmt.Printf("order parameter: final %.4f   min %.4f\n", sum.FinalOrder, sum.MinOrder)
-	if sum.Resynced {
+	if !pom {
+		fmt.Printf("order parameter: final %.4f   min %.4f\n", sum.FinalOrder, sum.MinOrder)
+	}
+	switch {
+	case sum.Resynced:
 		fmt.Printf("resynchronized at t = %.2f\n", sum.ResyncTime)
-	} else {
+	case pom:
+		printBrokenSymmetry(spec, sum.MeanAbsGap)
+	default:
 		fmt.Println("no resynchronization (broken-symmetry or incoherent state)")
 		fmt.Printf("mean |adjacent gap| = %.4f\n", sum.MeanAbsGap)
 	}
 	printFamily()
 }
 
-// familySinks returns the family-specific streaming sinks of a spec plus
-// a closure printing their findings after the run: the Kuramoto slip
-// counter, the continuum front tracker, and the linstab scan-endpoint
-// summary. Families without a dedicated sink get a no-op. (Validation
-// guarantees the section matching Family is the only one set.)
-func familySinks(spec *scenario.Spec) ([]sim.Sink, func()) {
+// printBrokenSymmetry reports a POM run that never resynchronized: the
+// mean adjacent gap, next to the desync potential's stable zero.
+func printBrokenSymmetry(spec *scenario.Spec, meanAbsGap float64) {
+	fmt.Println("no resynchronization (broken-symmetry state)")
+	fmt.Printf("mean |adjacent gap| = %.4f", meanAbsGap)
+	if spec.Potential.Kind == "desync" {
+		fmt.Printf(" (potential stable zero 2σ/3 = %.4f)",
+			potential.NewDesync(spec.Potential.Sigma).StableZero())
+	}
+	fmt.Println()
+}
+
+// printWave reports an idle wave measured from its origin rank.
+func printWave(wf core.WaveFront) {
+	fmt.Printf("idle wave from rank %d: speed %.3f ranks/period (R²=%.2f, reached %d ranks)\n",
+		wf.Origin, wf.SpeedRanksPerPeriod, wf.R2, wf.Reached)
+}
+
+// familySinks returns the family-specific streaming sinks of a built spec
+// plus a closure printing their findings after the run: the POM idle-wave
+// detectors, the Kuramoto slip counter, the continuum front tracker, and
+// the linstab scan-endpoint summary. Families without a dedicated sink
+// get a no-op. (Validation guarantees the section matching Family is the
+// only one set.)
+func familySinks(spec *scenario.Spec, sys sim.System) ([]sim.Sink, func()) {
 	switch spec.Family {
+	case "", "pom":
+		waves := make([]*core.WaveDetector, len(spec.Delays))
+		sinks := make([]sim.Sink, len(spec.Delays))
+		for i, d := range spec.Delays {
+			det, err := core.NewWaveDetector(sys.(*core.Model), d.Rank, d.Start, 0.15)
+			if err != nil {
+				log.Fatal(err)
+			}
+			waves[i], sinks[i] = det, det
+		}
+		return sinks, func() {
+			for _, det := range waves {
+				if wf, err := det.Finish(); err == nil {
+					printWave(wf)
+				}
+			}
+		}
 	case "kuramoto":
 		slips := &kuramoto.SlipCounter{}
 		return []sim.Sink{slips}, func() {
@@ -394,88 +445,6 @@ func familySinks(spec *scenario.Spec) ([]sim.Sink, func()) {
 	return nil, func() {}
 }
 
-// reportStream integrates in streaming mode: the sample rows flow through
-// the online accumulator sinks and only O(N) summary state is ever
-// retained — the memory model of the million-scenario batch sweeps. The
-// printed metrics are bit-for-bit the ones report derives from the
-// materialized trajectory. With a non-empty archDir the same pass also
-// streams every row into a new shard of the disk-backed archive there.
-func reportStream(spec *scenario.Spec, m *core.Model, tEnd float64, nSamples int, archDir string) {
-	spread := &core.SpreadAccumulator{FinalFraction: 0.15}
-	resync := &core.ResyncDetector{Eps: 0.1}
-	gaps := &core.GapAccumulator{FinalFraction: 0.15}
-	sinks := []core.Sink{spread, resync, gaps}
-	waves := make([]*core.WaveDetector, 0, len(spec.Delays))
-	for _, d := range spec.Delays {
-		det, err := core.NewWaveDetector(m, d.Rank, d.Start, 0.15)
-		if err != nil {
-			log.Fatal(err)
-		}
-		waves = append(waves, det)
-		sinks = append(sinks, det)
-	}
-
-	// Archiving rides the same pass: the record writer is one more sink,
-	// so the rows on disk are exactly the rows the accumulators saw. Each
-	// pomsim invocation gets its own shard (and uses the shard id as the
-	// point index), so successive runs accumulate in one directory.
-	var aw *archive.Writer
-	var rec *archive.RecordWriter
-	order := &core.OrderAccumulator{}
-	if archDir != "" {
-		aw, rec = openArchiveRecord(archDir, []float64{
-			float64(spec.N), spec.TEnd, float64(nSamples), spec.Potential.Sigma,
-		})
-		// The order accumulator completes the standard Summary metric
-		// set, so the archived vector matches the layout sweep-written
-		// records use (core.Summary.Vector).
-		sinks = append(sinks, order, rec)
-	}
-
-	stats, err := m.RunStream(tEnd, nSamples, core.Tee(sinks...))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if rec != nil {
-		sum := core.Summary{
-			FinalSpread:      spread.Final(),
-			MaxSpread:        spread.Max(),
-			AsymptoticSpread: spread.Asymptotic(),
-			FinalOrder:       order.Final(),
-			MinOrder:         order.Min(),
-			MeanAbsGap:       gaps.MeanAbsGap(),
-		}
-		if rt, err := resync.ResyncTime(); err == nil {
-			sum.Resynced, sum.ResyncTime = true, rt
-		}
-		sealArchiveRecord(aw, rec, sum.Vector(), nSamples)
-	}
-
-	fmt.Printf("POM run (streaming): %s  N=%d potential=%s offsets=%v v_p=%.3g coupling=%.3g\n",
-		spec.Name, spec.N, spec.Potential.Kind, spec.Offsets, m.Vp(), m.Coupling())
-	fmt.Printf("solver: %s\n", stats)
-	fmt.Printf("asymptotic spread: %.4f rad   max spread: %.4f rad\n",
-		spread.Asymptotic(), spread.Max())
-	if rt, err := resync.ResyncTime(); err == nil {
-		fmt.Printf("resynchronized at t = %.2f\n", rt)
-	} else {
-		fmt.Println("no resynchronization (broken-symmetry state)")
-		fmt.Printf("mean |adjacent gap| = %.4f", gaps.MeanAbsGap())
-		if spec.Potential.Kind == "desync" {
-			fmt.Printf(" (potential stable zero 2σ/3 = %.4f)",
-				potential.NewDesync(spec.Potential.Sigma).StableZero())
-		}
-		fmt.Println()
-	}
-	for i, det := range waves {
-		if wf, err := det.Finish(); err == nil {
-			fmt.Printf("idle wave from rank %d: speed %.3f ranks/period (R²=%.2f, reached %d ranks)\n",
-				spec.Delays[i].Rank, wf.SpeedRanksPerPeriod, wf.R2, wf.Reached)
-		}
-	}
-}
-
 // report prints the run summary and writes optional SVGs.
 func report(spec *scenario.Spec, m *core.Model, res *core.Result, svgDir string, quiet bool) {
 	fmt.Printf("POM run: %s  N=%d potential=%s offsets=%v v_p=%.3g coupling=%.3g\n",
@@ -486,7 +455,6 @@ func report(spec *scenario.Spec, m *core.Model, res *core.Result, svgDir string,
 	if rt, err := res.ResyncTime(0.1); err == nil {
 		fmt.Printf("resynchronized at t = %.2f\n", rt)
 	} else {
-		fmt.Println("no resynchronization (broken-symmetry state)")
 		gaps := res.AsymptoticGaps(0.15)
 		var s float64
 		for _, g := range gaps {
@@ -495,17 +463,11 @@ func report(spec *scenario.Spec, m *core.Model, res *core.Result, svgDir string,
 			}
 			s += g
 		}
-		fmt.Printf("mean |adjacent gap| = %.4f", s/float64(len(gaps)))
-		if spec.Potential.Kind == "desync" {
-			fmt.Printf(" (potential stable zero 2σ/3 = %.4f)",
-				potential.NewDesync(spec.Potential.Sigma).StableZero())
-		}
-		fmt.Println()
+		printBrokenSymmetry(spec, s/float64(len(gaps)))
 	}
 	for _, d := range spec.Delays {
 		if wf, err := res.MeasureWave(d.Rank, d.Start, 0.15); err == nil {
-			fmt.Printf("idle wave from rank %d: speed %.3f ranks/period (R²=%.2f, reached %d ranks)\n",
-				d.Rank, wf.SpeedRanksPerPeriod, wf.R2, wf.Reached)
+			printWave(wf)
 		}
 	}
 

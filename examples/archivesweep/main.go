@@ -38,6 +38,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -92,7 +93,7 @@ func main() {
 		// RunSummaryTo tees the record writer into the accumulator pass,
 		// so the rows land on disk while the summary forms — nothing is
 		// materialized in memory.
-		sum, err := m.RunSummaryTo(*tEnd, *samples, 0.1, 0.15, rec)
+		sum, err := sim.RunSummaryTo(m, *tEnd, *samples, 0.1, 0.15, rec)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,7 @@
 // million-scenario batch workload of the ROADMAP's north star, made
 // feasible by the streaming sample-sink subsystem. Every point integrates
 // a full oscillator model, but its samples flow through online
-// accumulators (core.Model.RunStream) and only an O(N) summary crosses the
+// accumulators (sim.RunSummary) and only an O(N) summary crosses the
 // worker boundary (sweep.RunReduce), so the resident heap stays flat no
 // matter how many points or samples the sweep covers. A materialized sweep
 // of the same size would retain points × samples × N trajectory floats —
@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -79,7 +80,7 @@ func main() {
 	)
 	err := sweep.RunReduce(context.Background(), *points, *workers,
 		gen,
-		func(_ context.Context, p param) (*core.Summary, error) {
+		func(_ context.Context, p param) (*sim.Summary, error) {
 			tp, err := topology.NextNeighbor(*n, false)
 			if err != nil {
 				return nil, err
@@ -97,9 +98,9 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			return m.RunSummary(*tEnd, *samples, 0.1, 0.15)
+			return sim.RunSummary(m, *tEnd, *samples, 0.1, 0.15)
 		},
-		func(i int, p param, s *core.Summary) {
+		func(i int, p param, s *sim.Summary) {
 			done++
 			if s.Resynced {
 				resynced++

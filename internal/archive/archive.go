@@ -73,7 +73,7 @@ type Record struct {
 	// Samples holds the rows flattened row-major: row k is
 	// Samples[k*Width : (k+1)*Width].
 	Samples []float64
-	// Metrics are the summary metrics (e.g. core.Summary.Vector).
+	// Metrics are the summary metrics (e.g. sim.Summary.Vector).
 	Metrics []float64
 	// Trace is the optional execution trace.
 	Trace *trace.Trace
@@ -517,7 +517,7 @@ func (w *Writer) Abort() error {
 }
 
 // RecordWriter streams one record into its shard. Begin and Sample
-// implement core.Sink, so solver rows flow from the integrator's reused
+// implement sim.Sink, so solver rows flow from the integrator's reused
 // buffers straight to disk with no materialized trajectory; Finish
 // seals the record with the summary metrics and optional trace. Errors
 // during the sink callbacks (which cannot return one) are stashed and
@@ -547,7 +547,7 @@ func (rw *RecordWriter) write(b []byte) {
 	rw.w.writeRaw(b)
 }
 
-// Begin implements core.Sink: it fixes the row dimensions. It must run
+// Begin implements sim.Sink: it fixes the row dimensions. It must run
 // before the first Sample and at most once per record.
 func (rw *RecordWriter) Begin(n, nSamples int) {
 	if rw.sealed || rw.err != nil {
@@ -587,7 +587,7 @@ func (rw *RecordWriter) Begin(n, nSamples int) {
 	rw.write(w.buf)
 }
 
-// Sample implements core.Sink: it appends one row. y is not retained.
+// Sample implements sim.Sink: it appends one row. y is not retained.
 func (rw *RecordWriter) Sample(t float64, y []float64) {
 	if rw.err != nil {
 		return

@@ -10,13 +10,13 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// The streaming record writer is the archive's core.Sink adapter:
-// solver rows flow from RunStream straight to the shard.
-var _ core.Sink = (*RecordWriter)(nil)
+// The streaming record writer is the archive's sim.Sink adapter:
+// solver rows flow from sim.RunStream straight to the shard.
+var _ sim.Sink = (*RecordWriter)(nil)
 
 // randRecord builds a random record in canonical (flattened) form.
 func randRecord(rng *rand.Rand, index uint64) *Record {
@@ -167,7 +167,7 @@ func TestStreamedMatchesAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw.Begin(rec.Width, rec.NSamples()) // the core.Sink entry points
+	rw.Begin(rec.Width, rec.NSamples()) // the sim.Sink entry points
 	for k := 0; k < rec.NSamples(); k++ {
 		rw.Sample(rec.Ts[k], rec.Row(k))
 	}

@@ -84,7 +84,9 @@ type Config struct {
 	// chunked over contiguous oscillator ranges; 0 or 1 means serial.
 	// Parallel evaluation is bit-for-bit identical to serial evaluation:
 	// every oscillator's coupling sum is accumulated in the same order
-	// regardless of the chunking. Worth using from roughly N ≥ 512.
+	// regardless of the chunking. On a 2-core host Workers = 2 is slower
+	// than serial up to N ≈ 8k; only desync chains from N ≈ 16k gain
+	// (~1.3×), and tanh chains barely break even at N = 32k.
 	// With Workers > 1 the LocalNoise (Zeta, or ZetaInto when it
 	// implements noise.Batch) and Potential batch methods are called
 	// concurrently from pool goroutines, so custom implementations must be
@@ -286,12 +288,6 @@ func (m *Model) Close() {
 	}
 }
 
-// EvalRHS evaluates the delay-free Eq. (2) right-hand side at time t into
-// dydt; both slices must have length N. (Interaction-noise delays need
-// the solution history and are only active inside Run.) It is exported
-// for benchmarks and external integrators.
-func (m *Model) EvalRHS(t float64, y, dydt []float64) { m.rhs(t, y, nil, dydt) }
-
 // rhsRange evaluates the delay-free right-hand side for oscillator rows
 // [lo, hi): the shared kernel writes each row's coupling sum into dydt,
 // the batched noise writes the block's ζ, and one pass finishes
@@ -362,9 +358,9 @@ type Result struct {
 
 // The solver loop, sample-plan machinery, and sink protocol live in the
 // shared sim runtime; Model participates by implementing sim.System (plus
-// the Delayed, Tuned, and Releaser extensions). Run, RunStream, and
-// RunSummary are thin shims over sim.Run / sim.RunStream and produce
-// bit-for-bit the output the pre-sim bespoke loop produced.
+// the Delayed, Tuned, and Releaser extensions). Run is a thin shim over
+// sim.Run; streaming runs call sim.RunStream / sim.RunSummaryTo on the
+// model directly.
 
 // Dim implements sim.System.
 func (m *Model) Dim() int { return m.cfg.N }
@@ -403,7 +399,7 @@ func (m *Model) Solver() sim.Solver {
 // Release implements sim.Releaser: the worker pool restarts lazily on
 // the next parallel rhs call, so releasing it after every run means a
 // Model dropped after Run leaks no goroutines even without an explicit
-// Close (sweeps build thousands of models). Direct EvalRHS users keep
+// Close (sweeps build thousands of models). Direct Eval users keep
 // the pool across calls and own the Close.
 func (m *Model) Release() {
 	if m.nw > 1 {

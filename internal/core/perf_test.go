@@ -49,12 +49,12 @@ func TestRHSZeroAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := perfModel(t, n, tc.workers, nil)
 			defer m.Close()
-			m.EvalRHS(0, y, dydt) // warm scratch buffers and worker pool
+			m.Eval(0, y, dydt) // warm scratch buffers and worker pool
 			allocs := testing.AllocsPerRun(100, func() {
-				m.EvalRHS(0, y, dydt)
+				m.Eval(0, y, dydt)
 			})
 			if allocs != 0 {
-				t.Fatalf("EvalRHS allocates %v objects per call in steady state, want 0", allocs)
+				t.Fatalf("Eval allocates %v objects per call in steady state, want 0", allocs)
 			}
 		})
 	}
@@ -88,7 +88,7 @@ func TestRHSMatchesScalarReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make([]float64, n)
-		m.EvalRHS(0, y, got)
+		m.Eval(0, y, got)
 		nb := tp.Neighbors()
 		k := m.Coupling()
 		for i := 0; i < n; i++ {

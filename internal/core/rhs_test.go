@@ -48,7 +48,7 @@ func TestRHSNoiseMatchesScalarReference(t *testing.T) {
 			nb := tp.Neighbors()
 			for _, tm := range []float64{0, 1.5, 2.2} {
 				got := make([]float64, n)
-				m.EvalRHS(tm, y, got)
+				m.Eval(tm, y, got)
 				for i := 0; i < n; i++ {
 					var c float64
 					for _, j := range nb[i] {

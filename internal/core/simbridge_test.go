@@ -58,8 +58,8 @@ func TestLockAccumulatorMatchesFrequencyLocked(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lock := &LockAccumulator{FinalFraction: ff}
-				if _, err := m2.RunStream(120, 241, lock); err != nil {
+				lock := &sim.LockAccumulator{FinalFraction: ff}
+				if _, err := sim.RunStream(m2, 120, 241, lock); err != nil {
 					t.Fatal(err)
 				}
 				want := res.FrequencyLocked(ff, tol)
@@ -96,7 +96,7 @@ func TestWeightedChunkWorkersBitwiseOnIrregularTopology(t *testing.T) {
 	}
 	y := serial.InitialState()
 	want := make([]float64, n)
-	serial.EvalRHS(0.3, y, want)
+	serial.Eval(0.3, y, want)
 
 	for _, workers := range []int{2, 5, 16} {
 		cfg := base
@@ -106,7 +106,7 @@ func TestWeightedChunkWorkersBitwiseOnIrregularTopology(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make([]float64, n)
-		par.EvalRHS(0.3, y, got)
+		par.Eval(0.3, y, got)
 		par.Close()
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

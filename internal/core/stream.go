@@ -4,74 +4,8 @@ import (
 	"errors"
 	"math"
 
-	"repro/internal/ode"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// The streaming-sink protocol and the generic online accumulators moved
-// to the shared sim runtime (PR 4) so the Kuramoto and continuum
-// families stream through the exact same machinery; the names below are
-// aliases, so every existing caller — and the archive.RecordWriter Sink
-// implementation — keeps compiling and behaving identically. Only the
-// POM-specific WaveDetector stays here (it needs the model's topology
-// and natural frequency).
-type (
-	// Sink consumes the sample rows of a streaming integration in time
-	// order; see sim.Sink.
-	Sink = sim.Sink
-	// SinkFunc adapts a plain callback to the Sink interface.
-	SinkFunc = sim.SinkFunc
-	// SpreadAccumulator computes the phase-spread metrics online.
-	SpreadAccumulator = sim.SpreadAccumulator
-	// OrderAccumulator computes the Kuramoto order parameter online.
-	OrderAccumulator = sim.OrderAccumulator
-	// ResyncDetector finds the resynchronization time online.
-	ResyncDetector = sim.ResyncDetector
-	// GapAccumulator time-averages the adjacent phase gaps online.
-	GapAccumulator = sim.GapAccumulator
-	// LockAccumulator decides asymptotic frequency locking online.
-	LockAccumulator = sim.LockAccumulator
-	// Summary is the O(N) reduction of one streamed run.
-	Summary = sim.Summary
-)
-
-// Tee combines several sinks into one that replays every row to each, in
-// order — the standard way to run multiple accumulators over one pass.
-func Tee(sinks ...Sink) Sink { return sim.Tee(sinks...) }
-
-// RunStream integrates the model from t = 0 to tEnd like Run, but emits
-// the nSamples uniform sample rows to sink as they are produced instead of
-// materializing them: the run's memory is independent of nSamples. The
-// rows streamed to the sink are bit-for-bit the rows Run would store.
-func (m *Model) RunStream(tEnd float64, nSamples int, sink Sink) (ode.Stats, error) {
-	if sink == nil {
-		return ode.Stats{}, errors.New("core: nil sink")
-	}
-	if tEnd <= 0 {
-		return ode.Stats{}, errors.New("core: tEnd must be positive")
-	}
-	return sim.RunStream(m, tEnd, nSamples, sink)
-}
-
-// RunSummary streams a run through the standard accumulator set and
-// returns the O(N) summary. resyncEps 0 selects 0.1 and finalFraction 0
-// selects 0.15 — the thresholds the materialized report paths use.
-func (m *Model) RunSummary(tEnd float64, nSamples int, resyncEps, finalFraction float64) (*Summary, error) {
-	return m.RunSummaryTo(tEnd, nSamples, resyncEps, finalFraction)
-}
-
-// RunSummaryTo is RunSummary with extra sinks teed into the same single
-// pass over the sample stream — the hook archive-mode sweeps use to
-// persist the full trajectory (an archive.RecordWriter is a Sink) while
-// the standard summary accumulates. The extra sinks see exactly the
-// rows the accumulators see, in the same order.
-func (m *Model) RunSummaryTo(tEnd float64, nSamples int, resyncEps, finalFraction float64, extra ...Sink) (*Summary, error) {
-	if tEnd <= 0 {
-		return nil, errors.New("core: tEnd must be positive")
-	}
-	return sim.RunSummaryTo(m, tEnd, nSamples, resyncEps, finalFraction, extra...)
-}
 
 // WaveDetector measures the idle-wave front launched by a one-off delay
 // online — the streaming counterpart of Result.MeasureWave, producing the
@@ -111,7 +45,7 @@ func NewWaveDetector(m *Model, origin int, delayStart, threshold float64) (*Wave
 	}, nil
 }
 
-// Begin implements Sink.
+// Begin implements sim.Sink.
 func (w *WaveDetector) Begin(n, _ int) {
 	w.n = n
 	w.k = 0
@@ -127,7 +61,7 @@ func (w *WaveDetector) Begin(n, _ int) {
 	}
 }
 
-// Sample implements Sink.
+// Sample implements sim.Sink.
 func (w *WaveDetector) Sample(t float64, theta []float64) {
 	k := w.k
 	w.k++

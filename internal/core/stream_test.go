@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -71,11 +72,11 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spread := &SpreadAccumulator{FinalFraction: ff, KeepTimeline: true}
-			order := &OrderAccumulator{KeepTimeline: true}
-			resync := &ResyncDetector{Eps: eps}
-			gaps := &GapAccumulator{FinalFraction: ff}
-			stats, err := mStr.RunStream(tEnd, nSamples, Tee(spread, order, resync, gaps))
+			spread := &sim.SpreadAccumulator{FinalFraction: ff, KeepTimeline: true}
+			order := &sim.OrderAccumulator{KeepTimeline: true}
+			resync := &sim.ResyncDetector{Eps: eps}
+			gaps := &sim.GapAccumulator{FinalFraction: ff}
+			stats, err := sim.RunStream(mStr, tEnd, nSamples, sim.Tee(spread, order, resync, gaps))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +157,7 @@ func TestWaveDetectorMatchesMeasureWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mStr.RunStream(tEnd, nSamples, det); err != nil {
+	if _, err := sim.RunStream(mStr, tEnd, nSamples, det); err != nil {
 		t.Fatal(err)
 	}
 	got, gotErr := det.Finish()
@@ -200,7 +201,7 @@ func TestRunSummaryResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := mStr.RunSummary(150, 301, 0.1, 0.15)
+	sum, err := sim.RunSummary(mStr, 150, 301, 0.1, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestRunSummaryToExtraSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mPlain.RunSummary(tEnd, nSamples, 0.1, 0.15)
+	want, err := sim.RunSummary(mPlain, tEnd, nSamples, 0.1, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +245,12 @@ func TestRunSummaryToExtraSinks(t *testing.T) {
 	var rows int
 	var lastT float64
 	var width int
-	tap := SinkFunc(func(ts float64, theta []float64) {
+	tap := sim.SinkFunc(func(ts float64, theta []float64) {
 		rows++
 		lastT = ts
 		width = len(theta)
 	})
-	got, err := mTee.RunSummaryTo(tEnd, nSamples, 0.1, 0.15, tap)
+	got, err := sim.RunSummaryTo(mTee, tEnd, nSamples, 0.1, 0.15, tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestRunSummaryToExtraSinks(t *testing.T) {
 
 // TestSummaryVector pins the archive metric layout.
 func TestSummaryVector(t *testing.T) {
-	s := &Summary{
+	s := &sim.Summary{
 		FinalSpread: 1, MaxSpread: 2, AsymptoticSpread: 3,
 		FinalOrder: 4, MinOrder: 5,
 		Resynced: true, ResyncTime: 6, MeanAbsGap: 7,
@@ -280,22 +281,8 @@ func TestSummaryVector(t *testing.T) {
 			t.Errorf("vector[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if v := (&Summary{}).Vector(); v[5] != 0 {
+	if v := (&sim.Summary{}).Vector(); v[5] != 0 {
 		t.Error("non-resynced flag must encode as 0")
-	}
-}
-
-// TestRunStreamValidation covers the error paths.
-func TestRunStreamValidation(t *testing.T) {
-	m, err := New(baseConfig(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunStream(10, 11, nil); err == nil {
-		t.Error("want error for nil sink")
-	}
-	if _, err := m.RunStream(-1, 11, Tee()); err == nil {
-		t.Error("want error for non-positive tEnd")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -223,16 +224,16 @@ func runFig2Model(p Fig2Params) (*ModelPanel, error) {
 	if err != nil {
 		return nil, err
 	}
-	spread := &core.SpreadAccumulator{FinalFraction: 0.15}
-	gaps := &core.GapAccumulator{FinalFraction: 0.15}
-	resync := &core.ResyncDetector{Eps: 0.1}
-	lock := &core.LockAccumulator{FinalFraction: 0.2}
+	spread := &sim.SpreadAccumulator{FinalFraction: 0.15}
+	gaps := &sim.GapAccumulator{FinalFraction: 0.15}
+	resync := &sim.ResyncDetector{Eps: 0.1}
+	lock := &sim.LockAccumulator{FinalFraction: 0.2}
 	wave, err := core.NewWaveDetector(m, p.DelayRank, delayStart, 0.15)
 	if err != nil {
 		return nil, err
 	}
-	_, err = m.RunStream(p.Periods*period, int(p.Periods)*10+1,
-		core.Tee(spread, gaps, resync, lock, wave))
+	_, err = sim.RunStream(m, p.Periods*period, int(p.Periods)*10+1,
+		sim.Tee(spread, gaps, resync, lock, wave))
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
 )
@@ -58,7 +59,7 @@ func streamPointConfig(n int, sigma float64) (core.Config, error) {
 }
 
 // DesyncSweepStream sweeps the interaction horizon σ in streaming mode:
-// every worker integrates its point through core.Model.RunStream and
+// every worker integrates its point through sim.RunSummary and
 // returns only the accumulated Summary, so the sweep's memory is O(N) per
 // point regardless of tEnd/nSamples — the pattern examples/megasweep
 // scales to 10⁵ points.
@@ -69,7 +70,7 @@ func DesyncSweepStream(n int, sigmas []float64, workers int) (*E10Result, error)
 	res := &E10Result{N: n, Points: make([]E10Point, len(sigmas))}
 	err := sweep.RunReduce(context.Background(), len(sigmas), workers,
 		func(i int) float64 { return sigmas[i] },
-		func(_ context.Context, sigma float64) (*core.Summary, error) {
+		func(_ context.Context, sigma float64) (*sim.Summary, error) {
 			cfg, err := streamPointConfig(n, sigma)
 			if err != nil {
 				return nil, err
@@ -78,9 +79,9 @@ func DesyncSweepStream(n int, sigmas []float64, workers int) (*E10Result, error)
 			if err != nil {
 				return nil, err
 			}
-			return m.RunSummary(300, 301, 0.1, 0.1)
+			return sim.RunSummary(m, 300, 301, 0.1, 0.1)
 		},
-		func(i int, sigma float64, s *core.Summary) {
+		func(i int, sigma float64, s *sim.Summary) {
 			res.Points[i] = E10Point{
 				Sigma:            sigma,
 				MeanAbsGap:       s.MeanAbsGap,

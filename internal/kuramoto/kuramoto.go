@@ -11,7 +11,7 @@
 // desynchronization of bottlenecked programs cannot occur.
 //
 // Model implements sim.System, so Kuramoto runs route through the same
-// unified runtime as the POM core: RunStream drives the shared
+// unified runtime as the POM core: sim.RunStream drives the shared
 // accumulator sinks, and the sweep/archive machinery (sweep.RunReduce,
 // sweep.RunArchive) works over Kuramoto points unchanged.
 package kuramoto
@@ -154,16 +154,6 @@ func (m *Model) Run(tEnd float64, nSamples int) (*Result, error) {
 	return &Result{Ts: res.Ts, Theta: res.Ys, Stats: res.Stats}, nil
 }
 
-// RunStream integrates like Run but emits the sample rows to sink instead
-// of materializing them — the constant-memory path Kuramoto coupling
-// sweeps pair with the shared accumulator sinks.
-func (m *Model) RunStream(tEnd float64, nSamples int, sink sim.Sink) (ode.Stats, error) {
-	if tEnd <= 0 {
-		return ode.Stats{}, errors.New("kuramoto: tEnd must be positive")
-	}
-	return sim.RunStream(m, tEnd, nSamples, sink)
-}
-
 // OrderTimeline returns r(t) at every sample.
 func (r *Result) OrderTimeline() []float64 {
 	out := make([]float64, len(r.Theta))
@@ -215,7 +205,7 @@ func SweepCoupling(base Config, ks []float64, tEnd float64) ([]SweepPoint, error
 			return nil, err
 		}
 		order := &sim.OrderAccumulator{FinalFraction: 0.25}
-		if _, err := m.RunStream(tEnd, 201, order); err != nil {
+		if _, err := sim.RunStream(m, tEnd, 201, order); err != nil {
 			return nil, err
 		}
 		out = append(out, SweepPoint{K: k, R: order.Asymptotic()})

@@ -173,7 +173,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 	order := &sim.OrderAccumulator{FinalFraction: 0.25}
 	k := 0
-	_, err = m2.RunStream(30, 121, sim.Tee(order, sim.SinkFunc(func(tt float64, y []float64) {
+	_, err = sim.RunStream(m2, 30, 121, sim.Tee(order, sim.SinkFunc(func(tt float64, y []float64) {
 		if math.Float64bits(tt) != math.Float64bits(res.Ts[k]) {
 			t.Fatalf("sample %d time %v differs from materialized %v", k, tt, res.Ts[k])
 		}

@@ -32,7 +32,7 @@ func TestSlipCounterMatchesPhaseSlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &SlipCounter{}
-	if _, err := mStr.RunStream(tEnd, nSamples, counter); err != nil {
+	if _, err := sim.RunStream(mStr, tEnd, nSamples, counter); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,7 +85,7 @@ func TestSlipCounterLockedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &SlipCounter{}
-	if _, err := m.RunStream(40, 201, counter); err != nil {
+	if _, err := sim.RunStream(m, 40, 201, counter); err != nil {
 		t.Fatal(err)
 	}
 	if counter.Slips() != 0 {
@@ -174,7 +174,7 @@ func TestSlipCounterReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.RunStream(50, 201, counter); err != nil {
+		if _, err := sim.RunStream(m, 50, 201, counter); err != nil {
 			t.Fatal(err)
 		}
 		if round == 0 {

@@ -265,16 +265,6 @@ func TestFamilyValidation(t *testing.T) {
 	}
 }
 
-// TestBuildIsPOMOnly pins the compatibility contract: the original Build
-// entry point refuses non-POM families instead of silently returning a
-// zero core.Config.
-func TestBuildIsPOMOnly(t *testing.T) {
-	if _, _, _, err := KuramotoScenario(8, 1, 1).Build(); err == nil ||
-		!strings.Contains(err.Error(), "BuildSystem") {
-		t.Errorf("Build on kuramoto family: err = %v, want a POM-only error", err)
-	}
-}
-
 // TestValidationRejectsNonFinitePotentialAndPulse is the regression test
 // for NaN-poisoned programmatic specs: JSON cannot carry NaN, but Go
 // callers can, and before the fix a NaN sigma or pulse parameter passed

@@ -330,8 +330,7 @@ func (s *Spec) BuildSystem() (sys sim.System, tEnd float64, samples int, err err
 	return sys, tEnd, samples, nil
 }
 
-// pomDefaultTEnd and pomDefaultSamples are the POM run-control defaults,
-// shared by the registry entry and the legacy Build entry point.
+// pomDefaultTEnd and pomDefaultSamples are the POM run-control defaults.
 func pomDefaultTEnd(s *Spec) float64 { return 150 * (s.TComp + s.TComm) }
 
 const pomDefaultSamples = 601
@@ -459,34 +458,6 @@ func validateContinuum(s *Spec) error {
 		}
 	}
 	return nil
-}
-
-// Build converts a POM-family spec into a validated core.Config plus run
-// controls — the original entry point, kept for callers that need the
-// materialized Result paths (phase strips, SVGs, wave metrics). Non-POM
-// families must go through BuildSystem.
-func (s *Spec) Build() (cfg core.Config, tEnd float64, samples int, err error) {
-	name, def, err := s.family()
-	if err != nil {
-		return core.Config{}, 0, 0, err
-	}
-	if name != "pom" {
-		return core.Config{}, 0, 0, fmt.Errorf("scenario: Build is POM-only; family %q builds via BuildSystem", name)
-	}
-	// Same once-per-layer sequence as BuildSystem (Validate would resolve
-	// the family a second time).
-	if err = s.validateControls(name); err != nil {
-		return core.Config{}, 0, 0, err
-	}
-	if err = def.Validate(s); err != nil {
-		return core.Config{}, 0, 0, err
-	}
-	cfg, err = s.buildPOMConfig()
-	if err != nil {
-		return core.Config{}, 0, 0, err
-	}
-	tEnd, samples = s.controls(def)
-	return cfg, tEnd, samples, nil
 }
 
 // pomParams carries the family-independent POM knobs shared by the

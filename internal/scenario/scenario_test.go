@@ -48,11 +48,27 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestBuildDefaults(t *testing.T) {
-	cfg, tEnd, samples, err := validSpec().Build()
+// pomConfig validates a POM spec and assembles its core.Config plus the
+// resolved run controls, the pieces BuildSystem turns into a *core.Model.
+func pomConfig(t *testing.T, s *Spec) (cfg core.Config, tEnd float64, samples int) {
+	t.Helper()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := s.buildPOMConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, def, err := s.family()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tEnd, samples = s.controls(def)
+	return cfg, tEnd, samples
+}
+
+func TestBuildDefaults(t *testing.T) {
+	cfg, tEnd, samples := pomConfig(t, validSpec())
 	if cfg.N != 12 || cfg.Potential == nil || cfg.Topology == nil {
 		t.Errorf("cfg incomplete: %+v", cfg)
 	}
@@ -73,10 +89,7 @@ func TestBuildFullSpec(t *testing.T) {
 	s.CommLag = 0.05
 	s.TEnd = 77
 	s.Samples = 321
-	cfg, tEnd, samples, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg, tEnd, samples := pomConfig(t, s)
 	if tEnd != 77 || samples != 321 {
 		t.Errorf("controls: %v %v", tEnd, samples)
 	}
@@ -139,15 +152,11 @@ func TestSpecRunsEndToEnd(t *testing.T) {
 	s.PerturbSeed = 3
 	s.TEnd = 300
 	s.Samples = 301
-	cfg, tEnd, samples, err := s.Build()
+	sys, tEnd, samples, err := s.BuildSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(tEnd, samples)
+	res, err := sys.(*core.Model).Run(tEnd, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@ type ArchiveStats struct {
 
 // ArchivePointFunc evaluates one sweep point and writes its output
 // through the open archive record: stream sample rows via rec (it is a
-// core.Sink — hand it to Model.RunStream or tee it with the summary
-// accumulators), then seal the record with rec.Finish. A record left
+// sim.Sink — hand it to sim.RunStream or tee it with the summary
+// accumulators through sim.RunSummaryTo), then seal the record with rec.Finish. A record left
 // unsealed by a nil return is an error; on a non-nil return the record
 // is rolled back so the shard keeps no partial data.
 type ArchivePointFunc func(ctx context.Context, i int, params []float64, rec *archive.RecordWriter) error

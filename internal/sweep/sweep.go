@@ -120,7 +120,7 @@ func call[P, R any](ctx context.Context, fn func(context.Context, P) (R, error),
 // i's parameter comes from gen(i), each completed result is handed to
 // reduce, and nothing else is retained — live memory is O(workers),
 // independent of n. This is the batch mode million-point studies pair with
-// core.Model.RunStream, where each point returns only an O(N) summary.
+// sim.RunSummary, where each point returns only an O(N) summary.
 //
 // reduce is called from worker goroutines serialized by an internal mutex,
 // in completion order; use the point index to place order-sensitive
