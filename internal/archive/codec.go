@@ -28,12 +28,22 @@
 // identical prediction on any conforming platform and the round trip
 // is bitwise-exact — including NaN payloads and ±Inf, which bypass the
 // float arithmetic entirely (see predictBits).
+//
+// Decoding (decodeDeltaRows) walks the rows through slice views of the
+// output: the time column's varint heads each row, the state columns
+// follow, and each prediction reads the two rows already decoded in
+// place, so the decoder owns no scratch. Varints of up to 8 bytes,
+// nearly every value a sweep stores, are read a word at a time
+// (uvarint); the rest go through binary.Uvarint. Either way the result
+// is binary.Uvarint's, so the writer's binary.AppendUvarint bytes
+// decode exactly as they always have.
 package archive
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Codec selects how record payloads are encoded inside a shard.
@@ -168,52 +178,79 @@ func appendDeltaRow(buf []byte, row int, tBits uint64, y []float64, prev, prev2 
 	return buf
 }
 
-// decodeDeltaRows decodes the CodecDelta row section from b into
-// rec.Ts/rec.Samples (already sized to nSamples×width) and returns the
-// number of payload bytes consumed. The predictor state is read back
+// decodeDeltaRows decodes the CodecDelta row section that starts at
+// b[off:] into rec.Ts/rec.Samples (already sized to nSamples×width) and
+// returns the offset just past it. Offsets in errors count from the
+// start of b, as payloadReader's do. The predictor state is read back
 // from the rows already decoded, so decoding needs no scratch beyond
 // the output itself. Malformed input (truncated rows, overlong
 // varints) returns an error, never a panic.
-func decodeDeltaRows(b []byte, rec *Record, nSamples, width int) (int, error) {
+func decodeDeltaRows(b []byte, off int, rec *Record, nSamples, width int) (int, error) {
 	cols := 1 + width
-	if len(b) < cols*8 {
-		return 0, fmt.Errorf("truncated payload reading sample row 0")
+	if len(b)-off < cols*8 {
+		return 0, fmt.Errorf("truncated payload reading sample row 0 at offset %d", off)
 	}
-	off := 0
-	rec.Ts[0] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+	ts, samples := rec.Ts[:nSamples], rec.Samples[:nSamples*width]
+	ts[0] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 	off += 8
-	for i := 0; i < width; i++ {
-		rec.Samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+	for i := range samples[:width] {
+		samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 	}
 	for k := 1; k < nSamples; k++ {
-		for c := 0; c < cols; c++ {
-			delta, n := binary.Uvarint(b[off:])
+		p1 := samples[(k-1)*width : k*width]
+		row := samples[k*width : (k+1)*width][:len(p1)]
+		d, n := uvarint(b, off)
+		if n <= 0 {
+			return 0, fmt.Errorf("bad varint in sample row %d at offset %d", k, off)
+		}
+		off += n
+		if k == 1 {
+			ts[1] = math.Float64frombits(math.Float64bits(ts[0]) ^ d)
+			for c, v := range p1 {
+				d, n := uvarint(b, off)
+				if n <= 0 {
+					return 0, fmt.Errorf("bad varint in sample row %d at offset %d", k, off)
+				}
+				off += n
+				row[c] = math.Float64frombits(math.Float64bits(v) ^ d)
+			}
+			continue
+		}
+		ts[k] = math.Float64frombits(predictBits(math.Float64bits(ts[k-1]), math.Float64bits(ts[k-2])) ^ d)
+		p2 := samples[(k-2)*width : (k-1)*width][:len(p1)]
+		for c, v := range p1 {
+			d, n := uvarint(b, off)
 			if n <= 0 {
 				return 0, fmt.Errorf("bad varint in sample row %d at offset %d", k, off)
 			}
 			off += n
-			var prev, prev2 uint64
-			if c == 0 {
-				prev = math.Float64bits(rec.Ts[k-1])
-				if k >= 2 {
-					prev2 = math.Float64bits(rec.Ts[k-2])
-				}
-			} else {
-				prev = math.Float64bits(rec.Samples[(k-1)*width+c-1])
-				if k >= 2 {
-					prev2 = math.Float64bits(rec.Samples[(k-2)*width+c-1])
-				}
-			}
-			cur := colPred(k, prev, prev2) ^ delta
-			if c == 0 {
-				rec.Ts[k] = math.Float64frombits(cur)
-			} else {
-				rec.Samples[k*width+c-1] = math.Float64frombits(cur)
-			}
+			row[c] = math.Float64frombits(predictBits(math.Float64bits(v), math.Float64bits(p2[c])) ^ d)
 		}
 	}
 	return off, nil
+}
+
+// uvarint decodes the uvarint at b[off:] with binary.Uvarint's exact
+// results: the value and its length, or a length ≤ 0 for truncated or
+// overflowing input. With 8 bytes in reach it decodes a word at a
+// time: the lowest clear high bit marks the last byte, the bytes below
+// it keep their 7 payload bits, and three mask/shift/or steps pack the
+// groups 7→14→28→56 bits wide. Longer values (9 or 10 bytes, 0.03% of
+// a megasweep archive's values), malformed ones and the buffer's last
+// 7 bytes take binary.Uvarint.
+func uvarint(b []byte, off int) (uint64, int) {
+	if off <= len(b)-8 {
+		w := binary.LittleEndian.Uint64(b[off:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			x := w & (stop ^ (stop - 1)) & 0x7F7F7F7F7F7F7F7F
+			x = x&0x007F007F007F007F | x>>1&0x3F803F803F803F80
+			x = x&0x00003FFF00003FFF | x>>2&0x0FFFC0000FFFC000
+			x = x&0x000000000FFFFFFF | x>>4&0x00FFFFFFF0000000
+			return x, (bits.TrailingZeros64(stop) + 1) >> 3
+		}
+	}
+	return binary.Uvarint(b[off:])
 }
 
 // appendRawPayload appends rec's canonical (CodecRaw, POMARC1) payload

@@ -37,12 +37,7 @@ func encodeDeltaFuzzSeed(rec *Record) []byte {
 	buf = f64s(buf, rec.Params)
 	buf = u32(buf, uint32(rec.Width))
 	buf = u32(buf, uint32(rec.NSamples()))
-	cols := 1 + rec.Width
-	prev := make([]uint64, cols)
-	prev2 := make([]uint64, cols)
-	for k := 0; k < rec.NSamples(); k++ {
-		buf = appendDeltaRow(buf, k, math64bits(rec.Ts[k]), rec.Row(k), prev, prev2)
-	}
+	buf = append(buf, encodeDeltaRows(rec)...)
 	buf = u32(buf, uint32(len(rec.Metrics)))
 	buf = f64s(buf, rec.Metrics)
 	return u32(buf, 0)
@@ -93,7 +88,7 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 			Samples: make([]float64, nSamples*width),
 			Width:   width,
 		}
-		consumed, err := decodeDeltaRows(buf, dec, nSamples, width)
+		consumed, err := decodeDeltaRows(buf, 0, dec, nSamples, width)
 		if err != nil {
 			t.Fatalf("decoding our own encoding failed: %v", err)
 		}

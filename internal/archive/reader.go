@@ -404,11 +404,11 @@ func decodeDeltaPayload(b []byte) (*Record, error) {
 		if nSamples > 0 {
 			rec.Ts = make([]float64, nSamples)
 			rec.Samples = make([]float64, nSamples*width)
-			n, err := decodeDeltaRows(b[p.off:], rec, nSamples, width)
+			off, err := decodeDeltaRows(b, p.off, rec, nSamples, width)
 			if err != nil {
 				return nil, err
 			}
-			p.off += n
+			p.off = off
 		}
 	}
 	if err := decodeTail(p, rec); err != nil {
