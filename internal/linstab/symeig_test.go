@@ -102,3 +102,40 @@ func TestSymEigMatchesAtSetReference(t *testing.T) {
 		}
 	}
 }
+
+// scanJacobians are the Jacobians examples/scenarios/linstab.json solves:
+// N = 32 on the open ±1 chain, desync σ = 1.5, k = 1, at the 41 wavefront
+// gaps 0, 0.0375, …, 1.5 (NewScan's knots).
+func scanJacobians(tb testing.TB) []*linalg.Dense {
+	tp, err := topology.Stencil(32, []int{-1, 1}, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const from, to, points = 0, 1.5, 41
+	js := make([]*linalg.Dense, points)
+	for k := range js {
+		gap := from + (to-from)*float64(k)/float64(points-1)
+		if k == points-1 {
+			gap = to
+		}
+		if js[k], err = Jacobian(tp, potential.NewDesync(1.5), WavefrontState(32, gap), 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return js
+}
+
+// BenchmarkSymEigScan times the eigensolves of one linstab example scan:
+// SymEig over its 41 Jacobians, which is nearly all of the family's run.
+func BenchmarkSymEigScan(b *testing.B) {
+	js := scanJacobians(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range js {
+			if _, err := SymEig(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

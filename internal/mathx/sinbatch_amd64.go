@@ -71,10 +71,25 @@ func sinInto8(dst, x *float64, n int) bool
 //go:noescape
 func sincosInto8(sin, cos, x *float64, n int) bool
 
-// desyncSums8 is the fused AVX-512 kernel behind DesyncTable.Sums.
+// desyncSums8 is the fused AVX-512 kernel behind
+// CouplingTable.DesyncSums.
 //
 //go:noescape
 func desyncSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int, w, sigma float64)
+
+// tanhSums8 is the fused AVX-512 kernel behind CouplingTable.TanhSums.
+// It sums the rows of [lo, hi) block by block and stops at the first
+// block where a row of [lo, hi) meets a mid-range Δ (0.625 ≤ |Δ| ≤
+// tanhSaturate), returning that block's first row; the blocks before it
+// are written. It returns hi when every row was written.
+//
+//go:noescape
+func tanhSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int) int
+
+// tanhVecTab holds tanhSums8's constants at the offsets it hard-codes:
+// P0–P2 (0–16), Q0–Q2 (24–40), the rational branch's bound 0.625 (48)
+// and tanhSaturate (56).
+var tanhVecTab = [8]float64{tanhP[0], tanhP[1], tanhP[2], tanhQ[0], tanhQ[1], tanhQ[2], 0.625, tanhSaturate}
 
 // cpuid executes CPUID for the given leaf and subleaf.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

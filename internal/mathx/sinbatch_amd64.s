@@ -8,6 +8,8 @@
 //                512 0.5, 544 1.0, 576 absMask, 608 reduceThreshold,
 //                640 tiny (2⁻²⁷), 672 signMask, 704 π/2
 //   sinVecTabI32 int32×4 groups: 0 [1], 16 [7], 32 [3], 48 [2], 64 [4]
+//   tanhVecTab   float64: 0..16 P0..P2, 24..40 Q0..Q2, 48 0.625,
+//                56 tanhSaturate
 
 // SINCOS8_POLY is the shared front of the 8-wide (AVX-512) Cephes sine
 // and sine/cosine: the Cody–Waite octant reduction of |Z0| and both
@@ -95,6 +97,88 @@
 	VBROADCASTSD 576(R8), Z31; \
 	VBROADCASTSD 672(R8), Z30; \
 	VBROADCASTSD 544(R8), Z29
+
+// The fused coupling kernels (see CouplingTable) share one frame,
+//
+//	func(dst, y []float64, blockPtr, lanes []int32, lo, hi int, …)
+//
+// and one loop: each iteration of the block loop covers the eight rows
+// i..i+7, and each step of a block gathers one partner per row. The
+// macros below are that loop; the kernels load DI = dst, SI = y,
+// R10 = blockPtr, R11 = lanes, R12 = lo, R13 = hi and Z30 = −0, and
+// supply the per-step term. Each kernel opens with PCALIGN $64, which
+// adds no bytes there but makes the linker start it on a 64-byte
+// boundary, so its loop's placement in cache lines, and with it the
+// timing, does not shift with the size of the code linked before it.
+//
+// COUPLE8_BLOCK opens the block loop at lo's block (BX = its first row)
+// and jumps to done past hi. Per block it sets K6 to the lanes whose rows
+// lie in [lo, hi), loads Z12 = y[i..i+7] under K6, sets AX and DX to the
+// byte offsets of the block's first and past-last step, and starts the
+// row sums Z13 from −0 (Z30) on rows with partners and +0 on the rest:
+// −0 + t and −0 − t are exactly t and −t, the scalar first term. A block
+// without steps jumps straight to store.
+#define COUPLE8_BLOCK \
+	MOVQ R12, BX; \
+	ANDQ $~7, BX; \
+block: \
+	CMPQ BX, R13; \
+	JGE  done; \
+	MOVL $0xFF, DX; \
+	MOVQ R12, CX; \
+	SUBQ BX, CX; \
+	JLE  lodone; \
+	SHLL CX, DX; \
+lodone: \
+	MOVQ R13, CX; \
+	SUBQ BX, CX; \
+	CMPQ CX, $8; \
+	JGE  hidone; \
+	MOVL $1, R14; \
+	SHLL CX, R14; \
+	DECL R14; \
+	ANDL R14, DX; \
+hidone: \
+	KMOVB DX, K6; \
+	VMOVUPD.Z (SI)(BX*8), K6, Z12; \
+	MOVQ BX, CX; \
+	SHRQ $3, CX; \
+	MOVLQSX (R10)(CX*4), AX; \
+	MOVLQSX 4(R10)(CX*4), DX; \
+	SHLQ $5, AX; \
+	SHLQ $5, DX; \
+	VPXORQ Z13, Z13, Z13; \
+	CMPQ AX, DX; \
+	JGE  store; \
+	VMOVDQU (R11)(AX*1), Y11; \
+	VPMOVD2M Z11, K1; \
+	KNOTB K1, K1; \
+	VMOVAPD Z30, K1, Z13
+
+// COUPLE8_GATHER begins a step: Y11 = one partner column per row, K1 =
+// the rows that have one (−1 pads rows past their degree), and
+// Z3 = Δ = y[j] − y[i] on those lanes. K7 is clobbered (the gather
+// clears its mask).
+#define COUPLE8_GATHER \
+	VMOVDQU (R11)(AX*1), Y11; \
+	VPMOVD2M Z11, K1; \
+	KNOTB K1, K1; \
+	KMOVB K1, K7; \
+	VPXORQ Z3, Z3, Z3; \
+	VGATHERDPD (SI)(Y11*8), K7, Z3; \
+	VSUBPD  Z12, Z3, Z3
+
+// COUPLE8_STORE closes a step (back to step while the block has more),
+// then stores the row sums to dst[i..i+7] under K6 and moves to the next
+// block.
+#define COUPLE8_STORE \
+	ADDQ $32, AX; \
+	CMPQ AX, DX; \
+	JLT  step; \
+store: \
+	VMOVUPD Z13, K6, (DI)(BX*8); \
+	ADDQ $8, BX; \
+	JMP  block
 
 // func sinInto4(dst, x *float64, n int) bool
 //
@@ -311,18 +395,92 @@ sc8done:
 	VZEROUPPER
 	RET
 
+// func tanhSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int) int
+//
+// The fused tanh coupling kernel (CouplingTable.TanhSums). Each step
+// evaluates tanh Δ per lane as math.Tanh does, with no FMA: ±1 past
+// tanhSaturate, Δ itself for ±0, and otherwise the Cephes rational
+// Δ + ((Δ·s)·P(s))/Q(s), s = Δ², which also carries NaN through. It adds
+// the term to the row's sum. The mid-range 0.625 ≤ |Δ| ≤ tanhSaturate
+// needs Exp: when a row of [lo, hi) meets one, the kernel stops and
+// returns that block's first row, so the caller can sum the block's rows
+// with math.Tanh and resume at the next block. Otherwise it returns hi.
+// Blocks before the one it stopped in are stored complete.
+//
+// Registers: Z14–Z16 = P0–P2, Z17–Z19 = Q0–Q2, Z20 = 0.625,
+// Z21 = tanhSaturate, Z24 = 0; Z31/Z30/Z29 = abs mask, −0, 1.0.
+TEXT ·tanhSums8(SB), NOSPLIT, $0-120
+	PCALIGN $64
+	MOVQ dst_base+0(FP), DI
+	MOVQ y_base+24(FP), SI
+	MOVQ blockPtr_base+48(FP), R10
+	MOVQ lanes_base+72(FP), R11
+	MOVQ lo+96(FP), R12
+	MOVQ hi+104(FP), R13
+	LEAQ ·sinVecTab(SB), R8
+	VBROADCASTSD 576(R8), Z31
+	VBROADCASTSD 672(R8), Z30
+	VBROADCASTSD 544(R8), Z29
+	LEAQ ·tanhVecTab(SB), R9
+	VBROADCASTSD 0(R9), Z14
+	VBROADCASTSD 8(R9), Z15
+	VBROADCASTSD 16(R9), Z16
+	VBROADCASTSD 24(R9), Z17
+	VBROADCASTSD 32(R9), Z18
+	VBROADCASTSD 40(R9), Z19
+	VBROADCASTSD 48(R9), Z20
+	VBROADCASTSD 56(R9), Z21
+	VPXORQ  Z24, Z24, Z24
+	COUPLE8_BLOCK
+
+step:
+	COUPLE8_GATHER
+	VPANDQ  Z31, Z3, Z4      // |Δ|
+	VCMPPD  $0x1d, Z20, Z4, K1, K2 // rows with |Δ| ≥ 0.625
+	VCMPPD  $0x12, Z21, Z4, K2, K2 // … and |Δ| ≤ tanhSaturate
+	KTESTB  K6, K2
+	JNE     midrange
+	VMULPD  Z3, Z3, Z5       // s = Δ²
+	VMULPD  Z14, Z5, Z6      // P(s) = (P0·s + P1)·s + P2
+	VADDPD  Z15, Z6, Z6
+	VMULPD  Z5, Z6, Z6
+	VADDPD  Z16, Z6, Z6
+	VADDPD  Z17, Z5, Z7      // Q(s) = ((s + Q0)·s + Q1)·s + Q2
+	VMULPD  Z5, Z7, Z7
+	VADDPD  Z18, Z7, Z7
+	VMULPD  Z5, Z7, Z7
+	VADDPD  Z19, Z7, Z7
+	VMULPD  Z5, Z3, Z8       // Δ·s
+	VMULPD  Z6, Z8, Z8       // ·P(s)
+	VDIVPD  Z7, Z8, Z8       // /Q(s)
+	VADDPD  Z3, Z8, Z8       // Δ + …
+	VCMPPD  $0x1e, Z21, Z4, K3 // |Δ| > tanhSaturate, ±Inf included
+	VPANDQ  Z30, Z3, Z9
+	VPORQ   Z29, Z9, K3, Z8  // there: ±1 with Δ's sign
+	VCMPPD  $0x00, Z24, Z3, K4 // Δ = ±0
+	VMOVAPD Z3, K4, Z8       // there: Δ itself
+	VADDPD  Z8, Z13, K1, Z13 // s += tanh
+	COUPLE8_STORE
+
+done:
+	MOVQ R13, ret+112(FP)
+	VZEROUPPER
+	RET
+
+midrange:
+	MOVQ BX, ret+112(FP)
+	VZEROUPPER
+	RET
+
 // func desyncSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int, w, sigma float64)
 //
-// The fused Desync coupling kernel (see DesyncTable). Each iteration of
-// the block loop covers the eight rows i..i+7; K6 masks the lanes whose
-// rows lie in [lo, hi) for the y[i] load and the dst store, so only
-// dst[lo:hi] is written. Each step of a block gathers one partner per
-// row, maps Δ = y[j] − y[i] to the sine argument (w·Δ inside the horizon,
-// ∓π/2 beyond it, +π/2 for NaN), runs SIN8 and subtracts the sine from
-// the row's sum. The arguments stay within ±3π/2, so SIN8's out-of-range
-// mask is not needed. Z13 accumulates in CSR order: rows with partners
-// start from −0, and −0 − s is exactly −s, the scalar first term.
+// The fused Desync coupling kernel (CouplingTable.DesyncSums). Each step
+// maps Δ to the sine argument (w·Δ inside the horizon, ∓π/2 beyond it,
+// +π/2 for NaN), runs SIN8 and subtracts the sine from the row's sum.
+// The arguments stay within ±3π/2, so SIN8's out-of-range mask is not
+// needed.
 TEXT ·desyncSums8(SB), NOSPLIT, $0-128
+	PCALIGN $64
 	MOVQ dst_base+0(FP), DI
 	MOVQ y_base+24(FP), SI
 	MOVQ blockPtr_base+48(FP), R10
@@ -335,52 +493,10 @@ TEXT ·desyncSums8(SB), NOSPLIT, $0-128
 	VBROADCASTSD 704(R8), Z26 // π/2
 	VPXORQ  Z30, Z26, Z25    // −π/2
 	VPXORQ  Z24, Z24, Z24    // 0
-	MOVQ R12, BX
-	ANDQ $~7, BX             // first row of lo's block
-
-block:
-	CMPQ BX, R13
-	JGE  done
-	MOVL $0xFF, DX           // K6 = lanes with lo <= i+l < hi
-	MOVQ R12, CX
-	SUBQ BX, CX
-	JLE  lodone
-	SHLL CX, DX
-lodone:
-	MOVQ R13, CX
-	SUBQ BX, CX
-	CMPQ CX, $8
-	JGE  hidone
-	MOVL $1, R14
-	SHLL CX, R14
-	DECL R14
-	ANDL R14, DX
-hidone:
-	KMOVB DX, K6
-	VMOVUPD.Z (SI)(BX*8), K6, Z12 // y[i..i+7]
-
-	MOVQ BX, CX
-	SHRQ $3, CX
-	MOVLQSX (R10)(CX*4), AX
-	MOVLQSX 4(R10)(CX*4), DX
-	SHLQ $5, AX              // byte offsets of the block's steps
-	SHLQ $5, DX
-	VPXORQ Z13, Z13, Z13     // rows without partners sum to +0
-	CMPQ AX, DX
-	JGE  store
-	VMOVDQU (R11)(AX*1), Y11
-	VPMOVD2M Z11, K1
-	KNOTB K1, K1
-	VMOVAPD Z30, K1, Z13     // rows with partners start from −0
+	COUPLE8_BLOCK
 
 step:
-	VMOVDQU (R11)(AX*1), Y11 // one partner column per row
-	VPMOVD2M Z11, K1         // −1 pads rows past their degree
-	KNOTB K1, K1
-	KMOVB K1, K7             // the gather clears its mask
-	VPXORQ Z3, Z3, Z3
-	VGATHERDPD (SI)(Y11*8), K7, Z3
-	VSUBPD  Z12, Z3, Z3      // Δ = y[j] − y[i]
+	COUPLE8_GATHER
 	VPANDQ  Z31, Z3, Z4
 	VCMPPD  $0x11, Z27, Z4, K3 // |Δ| < σ
 	VCMPPD  $0x1e, Z24, Z3, K4 // Δ > 0
@@ -388,14 +504,7 @@ step:
 	VMULPD  Z28, Z3, K3, Z0  // inside it: w·Δ
 	SIN8
 	VSUBPD  Z10, Z13, K1, Z13 // s −= sin
-	ADDQ $32, AX
-	CMPQ AX, DX
-	JLT  step
-
-store:
-	VMOVUPD Z13, K6, (DI)(BX*8)
-	ADDQ $8, BX
-	JMP  block
+	COUPLE8_STORE
 
 done:
 	VZEROUPPER

@@ -3,11 +3,11 @@
 package mathx
 
 // Off amd64 there are no packed kernels: SinInto runs the scalar fast
-// path, SincosInto a math.Sincos loop, NewDesyncTable returns nil and
+// path, SincosInto a math.Sincos loop, NewCouplingTable returns nil and
 // HasAVX512 reports false. The gates are variables so tests compile
 // unchanged on every architecture, and the kernel stubs below (sinInto4,
-// sinInto8, sincosInto8, desyncSums8, linComb8, errSumSq8, denseFill8,
-// horner8) only panic.
+// sinInto8, sincosInto8, desyncSums8, tanhSums8, linComb8, errSumSq8,
+// denseFill8, horner8) only panic.
 var useSin4, useSin8 = false, false
 
 func sinInto4(dst, x *float64, n int) bool { panic("mathx: no packed sine kernel") }
@@ -18,6 +18,10 @@ func sincosInto8(sin, cos, x *float64, n int) bool { panic("mathx: no packed sin
 
 func desyncSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int, w, sigma float64) {
 	panic("mathx: no fused Desync kernel")
+}
+
+func tanhSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int) int {
+	panic("mathx: no fused tanh kernel")
 }
 
 func linComb8(dst, y *float64, n int, h float64, c *float64, k *[]float64, m int) {

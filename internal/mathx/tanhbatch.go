@@ -2,9 +2,10 @@ package mathx
 
 import "math"
 
-// Batched hyperbolic tangent for the synchronizing potential's hot path
-// (potential.Tanh's EvalInto), completing the ROADMAP follow-on to the
-// batched sine kernel.
+// Batched hyperbolic tangent: potential.Tanh's EvalInto, and so the tanh
+// of the portable coupling pass. On AVX-512 CPUs the fused pass
+// (CouplingTable.TanhSums) evaluates the same branches in registers and
+// calls math.Tanh for the mid-range.
 //
 // TanhInto replicates the portable Cephes algorithm of math.Tanh (the
 // Cody–Waite rational x + x³·P(x²)/Q(x²) for |x| < 0.625, saturation to

@@ -21,10 +21,11 @@ import (
 //
 // For the Desync potential the gather writes the sine argument directly
 // (w·Δ inside the horizon, ∓π/2 outside it) and the row sum subtracts the
-// sine, so one pass precedes mathx.SinInto and one follows it. On CPUs
-// with AVX-512 the whole Desync pass instead runs in registers, eight
-// rows at a time, over a lane-transposed copy of the columns
-// (mathx.DesyncTable); it gives the same bits.
+// sine, so one pass precedes mathx.SinInto and one follows it; for Tanh
+// the batch is mathx.TanhInto. On CPUs with AVX-512 the whole Desync or
+// Tanh pass instead runs in registers, eight rows at a time, over one
+// lane-transposed copy of the columns (mathx.CouplingTable); it gives
+// the same bits.
 //
 // Each row's sum starts from its first term (rows without partners sum to
 // 0). Chunks [lo, hi) touch disjoint buffer ranges, so SumRange may run
@@ -36,15 +37,17 @@ type Coupler struct {
 	buf          []float64
 	batch        Batch
 
-	// Fused Desync pass: desync selects it, w = 3π/(2σ); lanes is its
-	// AVX-512 executor, nil where the CPU has none.
+	// desync selects the Desync pass, w = 3π/(2σ). lanes is the fused
+	// AVX-512 pass for Desync and Tanh, nil where the CPU has none and for
+	// every other potential.
 	desync   bool
 	w, sigma float64
-	lanes    *mathx.DesyncTable
+	lanes    *mathx.CouplingTable
 }
 
-// fusedDesync lets tests run the portable Desync pass on AVX-512 CPUs.
-var fusedDesync = true
+// fused lets tests run the portable Desync and Tanh passes on AVX-512
+// CPUs.
+var fused = true
 
 // NewCoupler builds the kernel for potential p over the CSR arrays rowPtr
 // (length rows+1, rowPtr[0] == 0) and cols (partner indices, length
@@ -58,13 +61,14 @@ func NewCoupler(p Potential, rowPtr, cols []int32) *Coupler {
 		}
 	}
 	c := &Coupler{rowPtr: rowPtr, cols: cols, batch: BatchOf(p)}
+	_, tanh := p.(Tanh)
 	if d, ok := p.(Desync); ok {
 		c.desync = true
 		c.w = 3 * math.Pi / (2 * d.Sigma)
 		c.sigma = d.Sigma
-		if fusedDesync {
-			c.lanes = mathx.NewDesyncTable(rowPtr, cols)
-		}
+	}
+	if fused && (c.desync || tanh) {
+		c.lanes = mathx.NewCouplingTable(rowPtr, cols)
 	}
 	if c.lanes == nil {
 		c.rows = make([]int32, len(cols))
@@ -88,7 +92,11 @@ func (c *Coupler) SumRange(dst, y []float64, lo, hi int) {
 		panic("potential: SumRange range out of bounds")
 	}
 	if c.lanes != nil {
-		c.lanes.Sums(dst, y, lo, hi, c.w, c.sigma)
+		if c.desync {
+			c.lanes.DesyncSums(dst, y, lo, hi, c.w, c.sigma)
+		} else {
+			c.lanes.TanhSums(dst, y, lo, hi)
+		}
 		return
 	}
 	b0, b1 := c.rowPtr[lo], c.rowPtr[hi]

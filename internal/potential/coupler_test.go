@@ -63,8 +63,8 @@ func randomCSR(m int, seed int64) csr {
 	return c
 }
 
-// couplerPaths lists the Desync passes this CPU can run: the fused
-// AVX-512 one where available, and the portable one.
+// couplerPaths lists the Desync and Tanh passes this CPU can run: the
+// fused AVX-512 one where available, and the portable one.
 func couplerPaths() []bool {
 	if NewCoupler(NewDesync(1), []int32{0, 0}, nil).lanes != nil {
 		return []bool{true, false}
@@ -77,13 +77,6 @@ func pathName(fused bool) string {
 		return "fused"
 	}
 	return "portable"
-}
-
-// setFused selects the Desync pass until the returned function runs.
-func setFused(fused bool) (restore func()) {
-	old := fusedDesync
-	fusedDesync = fused
-	return func() { fusedDesync = old }
 }
 
 func flatCSR(t *testing.T, name string, tp *topology.Topology, err error) csr {
@@ -113,12 +106,16 @@ func scalarSums(p Potential, c csr, y []float64) []float64 {
 }
 
 // TestCouplerMatchesScalar pins the shared kernel bitwise to per-pair
-// Eval sums over every built-in potential, on each Desync pass (fused
-// AVX-512 and portable), for the generic fallback, and for the
-// structural corner cases: duplicate columns, radius-2 torus rows, row
-// counts that fill no, some and many 8-row blocks (5, 7, 30, 97), a star
-// hub, an irregular graph with empty rows, an empty 8-row block, row
-// chunks that straddle blocks, and Δ at exactly ±σ, ±0, ±Inf and NaN.
+// Eval sums over every built-in potential, on each Desync and Tanh pass
+// (fused AVX-512 and portable), for the generic fallback, and for the
+// structural corner cases: duplicate columns, radius-2 torus rows, ring,
+// mirror, star and irregular graphs (with empty rows) at row counts that
+// fill no, some and many 8-row blocks (5, 7, 30, 97), an empty 8-row
+// block, row chunks that straddle blocks, Δ at exactly ±σ, ±0, ±Inf and
+// NaN, and Δ at tanh's branch edges 0.625 and tanhSaturate ± 1 ulp. A
+// third phase set keeps every Δ in tanh's rational branch but for two
+// spikes, so some blocks run the fused tanh pass whole and some fall
+// back, at chunk edges too.
 func TestCouplerMatchesScalar(t *testing.T) {
 	const sigma = 0.513372617044002
 	pots := []Potential{
@@ -131,9 +128,9 @@ func TestCouplerMatchesScalar(t *testing.T) {
 		Func{F: math.Atan, ID: "atan"},
 	}
 	tp, err := topology.Torus2DRadius(6, 5, 2)
-	structs := []csr{
-		ringCSR(5), ringCSR(7), mirrorCSR(7), flatCSR(t, "torus-r2", tp, err),
-		starCSR(30), randomCSR(97, 1),
+	structs := []csr{flatCSR(t, "torus-r2", tp, err)}
+	for _, m := range []int{5, 7, 30, 97} {
+		structs = append(structs, ringCSR(m), mirrorCSR(m), starCSR(m), randomCSR(m, int64(m)))
 	}
 	// Rows 8–15 form a whole block without partners.
 	structs = append(structs, csr{
@@ -149,18 +146,49 @@ func TestCouplerMatchesScalar(t *testing.T) {
 		rowPtr: []int32{0, 8, 8, 9, 11, 13, 16, 18, 19},
 		cols:   []int32{1, 2, 3, 3, 0, 5, 6, 7, 0, 0, 4, 1, 2, 0, 5, 6, 0, 7, 1},
 	})
+	// Tanh's branch edges (phases below): row 0 (phase +0) lists rows
+	// 1–12, so its Δ run through 0.625 and tanhSaturate ± 1 ulp on both
+	// signs; each of rows 1–12 lists row 0 alone, giving the negated Δ
+	// one per row, with blocks mixing mid-range and rational lanes; row
+	// 13 (phase +0) lists only row 14 (phase −0), a single term
+	// −0 − (+0) = −0, so it must sum to −0; row 14 has no partners.
+	edges := csr{name: "tanh-edges", rowPtr: []int32{0, 12}}
+	for j := 1; j <= 12; j++ {
+		edges.cols = append(edges.cols, int32(j))
+	}
+	for j := 1; j <= 12; j++ {
+		edges.cols = append(edges.cols, 0)
+		edges.rowPtr = append(edges.rowPtr, int32(len(edges.cols)))
+	}
+	edges.cols = append(edges.cols, 14)
+	edges.rowPtr = append(edges.rowPtr, int32(len(edges.cols)), int32(len(edges.cols)))
+	structs = append(structs, edges)
+	const tanhSaturate = 8.8029691931113054295988e+01 / 2
+	edgePhases := []float64{0}
+	for _, e := range []float64{0.625, tanhSaturate} {
+		for _, d := range []float64{math.Nextafter(e, 0), e, math.Nextafter(e, 2*e)} {
+			edgePhases = append(edgePhases, d, -d)
+		}
+	}
+	edgePhases = append(edgePhases, 0, math.Copysign(0, -1))
 	for _, fused := range couplerPaths() {
 		t.Run(pathName(fused), func(t *testing.T) {
-			defer setFused(fused)()
+			defer SetFused(fused)()
 			for _, c := range structs {
 				n := len(c.rowPtr) - 1
-				ys := [][]float64{make([]float64, n), make([]float64, n)}
+				ys := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
 				for i := range ys[1] {
 					ys[1][i] = 1.7 * math.Sin(0.91*float64(i)+0.3)
+					ys[2][i] = 0.05 * math.Sin(0.91*float64(i)+0.3)
 				}
-				if c.name == "corners" {
+				ys[2][n/3] += 0.9
+				ys[2][n-1] -= 2.5
+				switch c.name {
+				case "corners":
 					ys[0] = []float64{0, sigma, -sigma, math.Copysign(0, -1), math.Nextafter(sigma, 0),
 						math.Inf(1), math.Inf(-1), math.NaN()}
+				case "tanh-edges":
+					ys[0] = edgePhases
 				}
 				for _, p := range pots {
 					for _, y := range ys {
@@ -181,8 +209,9 @@ func checkCoupler(t *testing.T, c csr, p Potential, y []float64) {
 	n := len(c.rowPtr) - 1
 	want := scalarSums(p, c, y)
 	cp := NewCoupler(p, c.rowPtr, c.cols)
-	if _, ok := p.(Desync); ok && fusedDesync != (cp.lanes != nil) {
-		t.Fatalf("%s/%s: fused pass %v, want %v", c.name, p.Name(), cp.lanes != nil, fusedDesync)
+	_, desync := p.(Desync)
+	if _, tanh := p.(Tanh); (desync || tanh) && fused != (cp.lanes != nil) {
+		t.Fatalf("%s/%s: fused pass %v, want %v", c.name, p.Name(), cp.lanes != nil, fused)
 	}
 	same := func(what string, got []float64, lo, hi int) {
 		t.Helper()
@@ -226,7 +255,7 @@ func TestCouplerRejectsBadInput(t *testing.T) {
 	c := ringCSR(9)
 	for _, fused := range couplerPaths() {
 		t.Run(pathName(fused), func(t *testing.T) {
-			defer setFused(fused)()
+			defer SetFused(fused)()
 			for _, p := range []Potential{NewDesync(1.2), Tanh{}} {
 				for _, bad := range []int32{-1, 9, math.MaxInt32} {
 					cols := append([]int32(nil), c.cols...)
@@ -256,14 +285,17 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 // TestCouplerZeroAllocs pins the kernel's steady state to zero
-// allocations on the fused, the portable Desync and the batched path.
+// allocations on the fused and the portable Desync and Tanh passes and
+// the batched path. One phase spike puts a mid-range Δ in two 8-row
+// blocks, so the fused tanh pass's per-block fallback runs too.
 func TestCouplerZeroAllocs(t *testing.T) {
 	c := ringCSR(64)
-	y := make([]float64, 64)
+	y := scaledPhases(64, 1.1)
+	y[23] = 2
 	dst := make([]float64, 64)
 	for _, fused := range couplerPaths() {
 		t.Run(pathName(fused), func(t *testing.T) {
-			defer setFused(fused)()
+			defer SetFused(fused)()
 			for _, p := range []Potential{NewDesync(1.2), Tanh{}} {
 				cp := NewCoupler(p, c.rowPtr, c.cols)
 				if a := testing.AllocsPerRun(50, func() { cp.SumRange(dst, y, 0, 64) }); a != 0 {
@@ -275,7 +307,7 @@ func TestCouplerZeroAllocs(t *testing.T) {
 }
 
 // benchCases are the two shapes the kernel benchmarks run: the continuum
-// example's desync ring and the torus2d example's radius-1 halo.
+// example's ring and the torus2d example's radius-1 halo.
 func benchCases(b *testing.B) []struct {
 	name string
 	c    csr
@@ -289,37 +321,51 @@ func benchCases(b *testing.B) []struct {
 		name string
 		c    csr
 	}{
-		{"desync-ring-96", ringCSR(96)},
-		{"desync-torus2d-32x32", csr{rowPtr: f.RowPtr, cols: f.Cols}},
+		{"ring-96", ringCSR(96)},
+		{"torus2d-32x32", csr{rowPtr: f.RowPtr, cols: f.Cols}},
 	}
 }
 
-func benchPhases(n int) []float64 {
+// benchPots are the potentials with a fused pass, each with the phase
+// amplitude its benchmarks use: Desync σ = 1.2 at 1.1, and tanh at 0.25,
+// which keeps every Δ in the rational branch, as in the pom example,
+// where 99.9% of the terms are.
+var benchPots = []struct {
+	name string
+	p    Potential
+	amp  float64
+}{
+	{"desync", NewDesync(1.2), 1.1},
+	{"tanh", Tanh{}, 0.25},
+}
+
+func scaledPhases(n int, amp float64) []float64 {
 	y := make([]float64, n)
 	for i := range y {
-		y[i] = 1.1 * math.Sin(0.37*float64(i))
+		y[i] = amp * math.Sin(0.37*float64(i))
 	}
 	return y
 }
 
-// BenchmarkCoupler measures the shared kernel on the Desync potential,
-// on each pass this CPU can run.
+// BenchmarkCoupler measures the shared kernel on the Desync and Tanh
+// potentials, on each pass this CPU can run.
 func BenchmarkCoupler(b *testing.B) {
-	p := NewDesync(1.2)
 	for _, fused := range couplerPaths() {
-		for _, bc := range benchCases(b) {
-			b.Run(pathName(fused)+"/"+bc.name, func(b *testing.B) {
-				n := len(bc.c.rowPtr) - 1
-				y, dst := benchPhases(n), make([]float64, n)
-				restore := setFused(fused)
-				cp := NewCoupler(p, bc.c.rowPtr, bc.c.cols)
-				restore()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cp.SumRange(dst, y, 0, n)
-				}
-			})
+		for _, bp := range benchPots {
+			for _, bc := range benchCases(b) {
+				b.Run(pathName(fused)+"/"+bp.name+"/"+bc.name, func(b *testing.B) {
+					n := len(bc.c.rowPtr) - 1
+					y, dst := scaledPhases(n, bp.amp), make([]float64, n)
+					restore := SetFused(fused)
+					cp := NewCoupler(bp.p, bc.c.rowPtr, bc.c.cols)
+					restore()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						cp.SumRange(dst, y, 0, n)
+					}
+				})
+			}
 		}
 	}
 }
@@ -327,23 +373,24 @@ func BenchmarkCoupler(b *testing.B) {
 // BenchmarkCouplerScalar is BenchmarkCoupler's twin: the same sums as a
 // per-pair loop through the Potential interface.
 func BenchmarkCouplerScalar(b *testing.B) {
-	var p Potential = NewDesync(1.2)
-	for _, bc := range benchCases(b) {
-		b.Run(bc.name, func(b *testing.B) {
-			n := len(bc.c.rowPtr) - 1
-			y, dst := benchPhases(n), make([]float64, n)
-			rowPtr, cols := bc.c.rowPtr, bc.c.cols
-			b.ReportAllocs()
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				for i := 0; i < n; i++ {
-					var s float64
-					for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
-						s += p.Eval(y[cols[q]] - y[i])
+	for _, bp := range benchPots {
+		for _, bc := range benchCases(b) {
+			b.Run(bp.name+"/"+bc.name, func(b *testing.B) {
+				n := len(bc.c.rowPtr) - 1
+				y, dst := scaledPhases(n, bp.amp), make([]float64, n)
+				rowPtr, cols, p := bc.c.rowPtr, bc.c.cols, bp.p
+				b.ReportAllocs()
+				b.ResetTimer()
+				for k := 0; k < b.N; k++ {
+					for i := 0; i < n; i++ {
+						var s float64
+						for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
+							s += p.Eval(y[cols[q]] - y[i])
+						}
+						dst[i] = s
 					}
-					dst[i] = s
 				}
-			}
-		})
+			})
+		}
 	}
 }
