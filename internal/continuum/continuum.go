@@ -25,9 +25,10 @@
 // the anti-diffusive regime because the potential saturates). The
 // nonlinear flux is Eq. (2)'s coupling sum on a two-partner stencil, so it
 // runs through the same kernel as the discrete model, potential.Coupler:
-// each FieldSystem builds the stencil's CSR arrays once (a ring, or the
-// Neumann mirror whose end rows list their one partner twice) and every
-// evaluation is one kernel call plus ω + K·c.
+// each FieldSystem builds the stencil's CSR arrays and its frequency row
+// once (a ring, or the Neumann mirror whose end rows list their one
+// partner twice) and every evaluation is one kernel call that writes
+// ω + K·c.
 //
 // A Field bound to an initial state (Field.System) implements sim.System,
 // so continuum relaxation studies route through the same unified runtime
@@ -149,6 +150,11 @@ type FieldSystem struct {
 	coupler *potential.Coupler
 	// diff is the linear path's D/a², fixed at build.
 	diff float64
+	// freq is the natural-frequency row ω(x_i, t): 2π everywhere, filled
+	// at build, or, when omega (the Field's ω field at build) is set,
+	// refilled on every evaluation.
+	freq  []float64
+	omega func(x, t float64) float64
 }
 
 // System validates the field configuration and binds it to theta0,
@@ -181,6 +187,13 @@ func (f *Field) System(theta0 []float64) (*FieldSystem, error) {
 		theta0: append([]float64(nil), theta0...),
 		cols:   cols,
 		diff:   f.Diffusivity() / (g.A * g.A),
+		freq:   make([]float64, g.M),
+		omega:  f.Omega,
+	}
+	if s.omega == nil {
+		for i := range s.freq {
+			s.freq[i] = mathx.TwoPi
+		}
 	}
 	if !f.Linear {
 		rowPtr := make([]int32, g.M+1)
@@ -199,33 +212,26 @@ func (s *FieldSystem) Dim() int { return s.f.Grid.M }
 func (s *FieldSystem) InitialState() []float64 { return s.theta0 }
 
 // Eval implements sim.System: ω(x, t) + K·c_i with c_i the nonlinear
-// flux V(θ_left − θ_i) + V(θ_right − θ_i) from the shared coupling kernel,
-// or ω(x, t) + D·θ_xx on the linear path.
+// flux V(θ_left − θ_i) + V(θ_right − θ_i), written whole by the shared
+// coupling kernel, or ω(x, t) + D·θ_xx on the linear path.
 //
 //pomvet:allocfree
 func (s *FieldSystem) Eval(t float64, y, dydt []float64) {
-	m := s.f.Grid.M
+	freq := s.freq
+	if s.omega != nil {
+		for i := range freq {
+			freq[i] = s.omega(s.f.Grid.X(i), t)
+		}
+	}
 	if s.f.Linear {
 		cols := s.cols
-		for i := 0; i < m; i++ {
+		for i := range freq {
 			lap := y[cols[2*i]] + y[cols[2*i+1]] - 2*y[i]
-			dydt[i] = s.omega(i, t) + s.diff*lap
+			dydt[i] = freq[i] + s.diff*lap
 		}
 		return
 	}
-	s.coupler.SumRange(dydt, y, 0, m)
-	k := s.f.K
-	for i := 0; i < m; i++ {
-		dydt[i] = s.omega(i, t) + k*dydt[i]
-	}
-}
-
-// omega is the natural frequency ω(x_i, t): the Field's ω field, or 2π.
-func (s *FieldSystem) omega(i int, t float64) float64 {
-	if s.f.Omega == nil {
-		return mathx.TwoPi
-	}
-	return s.f.Omega(s.f.Grid.X(i), t)
+	s.coupler.RateRange(dydt, y, freq, s.f.K, 0, len(freq))
 }
 
 // Solver implements sim.Tuned. Diffusion stability is handled by the

@@ -96,19 +96,26 @@ func TestEvalMatchesScalarOracle(t *testing.T) {
 }
 
 // TestEvalZeroAllocs pins FieldSystem.Eval's steady state to zero
-// allocations on both flux kinds.
+// allocations on both flux kinds, with the built 2π row and with an ω
+// field that refills the row on every call.
 func TestEvalZeroAllocs(t *testing.T) {
 	g := Grid{M: 96, A: 1}
 	th := pulseState(g, 2)
 	dth := make([]float64, g.M)
+	omegas := []func(x, t float64) float64{
+		nil,
+		func(x, t float64) float64 { return mathx.TwoPi * (1 + 0.1*math.Sin(x+t)) },
+	}
 	for _, linear := range []bool{false, true} {
-		f := &Field{Grid: g, Potential: potential.NewDesync(1.2), K: 2, Linear: linear}
-		sys, err := f.System(th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a := testing.AllocsPerRun(100, func() { sys.Eval(0, th, dth) }); a != 0 {
-			t.Fatalf("linear=%v: Eval allocates %v objects per call, want 0", linear, a)
+		for oi, om := range omegas {
+			f := &Field{Grid: g, Potential: potential.NewDesync(1.2), K: 2, Linear: linear, Omega: om}
+			sys, err := f.System(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := testing.AllocsPerRun(100, func() { sys.Eval(0, th, dth) }); a != 0 {
+				t.Fatalf("linear=%v omega#%d: Eval allocates %v objects per call, want 0", linear, oi, a)
+			}
 		}
 	}
 }

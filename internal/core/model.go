@@ -108,10 +108,12 @@ type Model struct {
 
 	// Hot-path state: the topology's flat CSR arrays (the DDE path walks
 	// them directly), the shared coupling kernel over them (it owns one
-	// scratch slot per directed edge), the batched local noise (nil when
-	// silent), and one ζ slot per oscillator.
+	// scratch slot per directed edge), the quiet frequency row (ω in every
+	// slot), the batched local noise (nil when silent), and one ζ slot per
+	// oscillator, which a loud chunk overwrites with its frequencies.
 	flat    topology.FlatNeighbors
 	coupler *potential.Coupler
+	omegas  []float64
 	noise   noise.Batch
 	zbuf    []float64
 
@@ -165,6 +167,10 @@ func New(cfg Config) (*Model, error) {
 	m.k = m.vp * m.gain / float64(cfg.N)
 	m.flat = cfg.Topology.Flat()
 	m.coupler = potential.NewCoupler(cfg.Potential, m.flat.RowPtr, m.flat.Cols)
+	m.omegas = make([]float64, cfg.N)
+	for i := range m.omegas {
+		m.omegas[i] = m.omega
+	}
 	if cfg.LocalNoise != nil {
 		m.noise = noise.BatchOf(cfg.LocalNoise)
 		m.zbuf = make([]float64, cfg.N)
@@ -289,35 +295,31 @@ func (m *Model) Close() {
 }
 
 // rhsRange evaluates the delay-free right-hand side for oscillator rows
-// [lo, hi): the shared kernel writes each row's coupling sum into dydt,
-// the batched noise writes the block's ζ, and one pass finishes
-// ω_i + k·c_i. Rows with ζ = 0 use the precomputed ω, which is bitwise
-// 2π/(P + 0). Chunks touch disjoint ranges, so pool workers can run this
+// [lo, hi) in one kernel call, which writes ω_i + k·c_i. The frequency
+// row is the precomputed ω row unless the batched noise reports the
+// chunk loud; then the chunk's ζ slots are overwritten with 2π/(P + ζ)
+// (ω where ζ = 0, which is bitwise 2π/(P + 0)) and handed over instead.
+// Chunks touch disjoint ranges, so pool workers can run this
 // concurrently without synchronization.
 //
 //pomvet:allocfree
 func (m *Model) rhsRange(t float64, y, dydt []float64, lo, hi int) {
-	m.coupler.SumRange(dydt, y, lo, hi)
-	k := m.k
-	if m.noise == nil {
-		for i := lo; i < hi; i++ {
-			dydt[i] = m.omega + k*dydt[i]
+	freq := m.omegas
+	if m.noise != nil && m.noise.ZetaInto(m.zbuf[lo:hi], lo, t) {
+		freq = m.zbuf
+		guard := -0.9 * m.period
+		for i, z := range freq[lo:hi] {
+			f := m.omega
+			if z < guard {
+				z = guard
+			}
+			if z != 0 {
+				f = mathx.TwoPi / (m.period + z)
+			}
+			freq[lo+i] = f
 		}
-		return
 	}
-	zeta := m.zbuf[lo:hi]
-	m.noise.ZetaInto(zeta, lo, t)
-	guard := -0.9 * m.period
-	for i, z := range zeta {
-		freq := m.omega
-		if z < guard {
-			z = guard
-		}
-		if z != 0 {
-			freq = mathx.TwoPi / (m.period + z)
-		}
-		dydt[lo+i] = freq + k*dydt[lo+i]
-	}
+	m.coupler.RateRange(dydt, y, freq, m.k, lo, hi)
 }
 
 // rhsDelayed is the DDE path: partner phases older than t are read from

@@ -31,7 +31,9 @@ func perfModel(t testing.TB, n, workers int, local noise.Local) *Model {
 }
 
 // TestRHSZeroAllocs asserts the performance invariant of the flat-CSR
-// right-hand side: zero steady-state allocations, serial and parallel.
+// right-hand side: zero steady-state allocations, serial and parallel,
+// without noise and under a delay whose window covers t = 0 but not
+// t = 2, so both the loud and the quiet frequency rows run.
 func TestRHSZeroAllocs(t *testing.T) {
 	const n = 256
 	y := make([]float64, n)
@@ -39,19 +41,24 @@ func TestRHSZeroAllocs(t *testing.T) {
 	for i := range y {
 		y[i] = 0.01 * float64(i)
 	}
+	delay := noise.Sum{noise.Delay{Rank: 9, Start: 0, Duration: 1, Extra: 5}}
 	for _, tc := range []struct {
 		name    string
 		workers int
+		local   noise.Local
 	}{
-		{"serial", 1},
-		{"workers4", 4},
+		{"serial", 1, nil},
+		{"workers4", 4, nil},
+		{"serial-delay", 1, delay},
+		{"workers4-delay", 4, delay},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := perfModel(t, n, tc.workers, nil)
+			m := perfModel(t, n, tc.workers, tc.local)
 			defer m.Close()
 			m.Eval(0, y, dydt) // warm scratch buffers and worker pool
 			allocs := testing.AllocsPerRun(100, func() {
 				m.Eval(0, y, dydt)
+				m.Eval(2, y, dydt)
 			})
 			if allocs != 0 {
 				t.Fatalf("Eval allocates %v objects per call in steady state, want 0", allocs)
@@ -106,8 +113,11 @@ func TestRHSMatchesScalarReference(t *testing.T) {
 
 // TestWorkersDeterminism asserts that parallel right-hand-side evaluation
 // reproduces the serial integration bit-for-bit: a Kuramoto ring under
-// local noise with 4 workers, and a Desync 6×5 torus with 3 workers,
-// whose chunks start and end inside the fused kernel's 8-row blocks.
+// local noise with 4 workers, a Desync 6×5 torus with 3 workers, whose
+// chunks start and end inside the fused kernel's 8-row blocks, and a
+// tanh ring under a Sum of Delays with 3 workers, which runs quiet
+// before and after the windows and, inside them, has the delayed rank's
+// chunk loud while the others stay quiet.
 func TestWorkersDeterminism(t *testing.T) {
 	const n = 96
 	local := noise.Sum{
@@ -131,12 +141,34 @@ func TestWorkersDeterminism(t *testing.T) {
 		}
 		return m
 	}
+	ring, err := topology.NextNeighbor(n, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delays := noise.Sum{
+		noise.Delay{Rank: 5, Start: 5, Duration: 2, Extra: 20},
+		noise.Delay{Rank: 70, Start: 6, Duration: 3, Extra: 4},
+	}
+	tanh := func(workers int) *Model {
+		m, err := New(Config{
+			N: n, TComp: 0.8, TComm: 0.2,
+			Potential:  potential.Tanh{},
+			Topology:   ring,
+			LocalNoise: delays,
+			Workers:    workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 	for _, tc := range []struct {
 		name             string
 		serial, parallel *Model
 	}{
 		{"kuramoto-ring/workers4", perfModel(t, n, 1, local), perfModel(t, n, 4, local)},
 		{"desync-torus6x5/workers3", desync(1), desync(3)},
+		{"tanh-ring-delays/workers3", tanh(1), tanh(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer tc.parallel.Close()

@@ -15,8 +15,13 @@ type zetaOnly struct{ noise.Local }
 
 // TestRHSNoiseMatchesScalarReference pins the batched-ζ right-hand side
 // bitwise to the per-row transcription 2π/(P + ζ_i(t)) + k·Σ V, with ζ
-// clamped at −0.9·P, serially and chunked across workers. The Imbalance
-// entries sit below, at, and above the guard.
+// clamped at −0.9·P, serially and chunked across 3 workers, on the fused
+// Desync and tanh passes. The Imbalance entries sit below, at, and above
+// the guard. The Sum of Delays (natively and through the elementwise
+// fallback) is evaluated before, inside, at the edges of and after its
+// windows, in an order that turns the same chunk loud, quiet and loud
+// again; with 3 workers the delayed ranks 11 and 30 sit in different
+// chunks, so one chunk is loud while its neighbours are quiet.
 func TestRHSNoiseMatchesScalarReference(t *testing.T) {
 	const n = 40
 	tp, err := topology.Stencil(n, []int{-1, 1, 3}, true)
@@ -30,37 +35,45 @@ func TestRHSNoiseMatchesScalarReference(t *testing.T) {
 		noise.Jitter{Dist: noise.Gaussian, Amp: 0.4, Refresh: 0.5, Seed: 3},
 		imb,
 	}
-	locals := []noise.Local{imb, mixed, zetaOnly{mixed}, noise.None{}}
+	delays := noise.Sum{
+		noise.Delay{Rank: 11, Start: 1, Duration: 2, Extra: 30},
+		noise.Delay{Rank: 30, Start: 2, Duration: 1.5, Extra: -0.95},
+	}
+	locals := []noise.Local{imb, mixed, zetaOnly{mixed}, delays, zetaOnly{delays}, noise.None{}}
+	times := []float64{0, 1.5, 2.2, 0.5, math.Nextafter(3, 0), 3, 3.5, 1, 5}
 	y := make([]float64, n)
 	for i := range y {
 		y[i] = 0.9 * math.Sin(0.53*float64(i))
 	}
-	for li, local := range locals {
-		for _, workers := range []int{1, 3} {
-			m, err := New(Config{
-				N: n, TComp: 0.8, TComm: 0.2,
-				Potential: potential.NewDesync(1.1), Topology: tp,
-				LocalNoise: local, Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nb := tp.Neighbors()
-			for _, tm := range []float64{0, 1.5, 2.2} {
-				got := make([]float64, n)
-				m.Eval(tm, y, got)
-				for i := 0; i < n; i++ {
-					var c float64
-					for _, j := range nb[i] {
-						c += m.cfg.Potential.Eval(y[j] - y[i])
-					}
-					want := mathx.TwoPi/(m.period+m.zeta(i, tm)) + m.k*c
-					if math.Float64bits(got[i]) != math.Float64bits(want) {
-						t.Fatalf("noise #%d workers=%d t=%v: dydt[%d] = %v, reference %v", li, workers, tm, i, got[i], want)
+	for _, p := range []potential.Potential{potential.NewDesync(1.1), potential.Tanh{}} {
+		for li, local := range locals {
+			for _, workers := range []int{1, 3} {
+				m, err := New(Config{
+					N: n, TComp: 0.8, TComm: 0.2,
+					Potential: p, Topology: tp,
+					LocalNoise: local, Workers: workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nb := tp.Neighbors()
+				for _, tm := range times {
+					got := make([]float64, n)
+					m.Eval(tm, y, got)
+					for i := 0; i < n; i++ {
+						var c float64
+						for _, j := range nb[i] {
+							c += p.Eval(y[j] - y[i])
+						}
+						want := mathx.TwoPi/(m.period+m.zeta(i, tm)) + m.k*c
+						if math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("%s noise #%d workers=%d t=%v: dydt[%d] = %v, reference %v",
+								p.Name(), li, workers, tm, i, got[i], want)
+						}
 					}
 				}
+				m.Close()
 			}
-			m.Close()
 		}
 	}
 }

@@ -75,16 +75,16 @@ func sincosInto8(sin, cos, x *float64, n int) bool
 // CouplingTable.DesyncSums.
 //
 //go:noescape
-func desyncSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int, w, sigma float64)
+func desyncSums8(dst, y, freq []float64, blockPtr, lanes []int32, lo, hi int, k, w, sigma float64)
 
 // tanhSums8 is the fused AVX-512 kernel behind CouplingTable.TanhSums.
-// It sums the rows of [lo, hi) block by block and stops at the first
+// It finishes the rows of [lo, hi) block by block and stops at the first
 // block where a row of [lo, hi) meets a mid-range Δ (0.625 ≤ |Δ| ≤
 // tanhSaturate), returning that block's first row; the blocks before it
 // are written. It returns hi when every row was written.
 //
 //go:noescape
-func tanhSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int) int
+func tanhSums8(dst, y, freq []float64, blockPtr, lanes []int32, lo, hi int, k float64) int
 
 // tanhVecTab holds tanhSums8's constants at the offsets it hard-codes:
 // P0–P2 (0–16), Q0–Q2 (24–40), the rational branch's bound 0.625 (48)

@@ -100,16 +100,17 @@
 
 // The fused coupling kernels (see CouplingTable) share one frame,
 //
-//	func(dst, y []float64, blockPtr, lanes []int32, lo, hi int, …)
+//	func(dst, y, freq []float64, blockPtr, lanes []int32, lo, hi int, k float64, …)
 //
 // and one loop: each iteration of the block loop covers the eight rows
 // i..i+7, and each step of a block gathers one partner per row. The
 // macros below are that loop; the kernels load DI = dst, SI = y,
-// R10 = blockPtr, R11 = lanes, R12 = lo, R13 = hi and Z30 = −0, and
-// supply the per-step term. Each kernel opens with PCALIGN $64, which
-// adds no bytes there but makes the linker start it on a 64-byte
-// boundary, so its loop's placement in cache lines, and with it the
-// timing, does not shift with the size of the code linked before it.
+// R14 = freq, R10 = blockPtr, R11 = lanes, R12 = lo, R13 = hi, Z22 = k
+// and Z30 = −0, and supply the per-step term. Each kernel in this file
+// opens with PCALIGN $64, which adds no bytes there but makes the linker
+// start it on a 64-byte boundary, so its loop's placement in cache
+// lines, and with it the timing, does not shift with the size of the
+// code linked before it.
 //
 // COUPLE8_BLOCK opens the block loop at lo's block (BX = its first row)
 // and jumps to done past hi. Per block it sets K6 to the lanes whose rows
@@ -134,10 +135,10 @@ lodone: \
 	SUBQ BX, CX; \
 	CMPQ CX, $8; \
 	JGE  hidone; \
-	MOVL $1, R14; \
-	SHLL CX, R14; \
-	DECL R14; \
-	ANDL R14, DX; \
+	MOVL $1, AX; \
+	SHLL CX, AX; \
+	DECL AX; \
+	ANDL AX, DX; \
 hidone: \
 	KMOVB DX, K6; \
 	VMOVUPD.Z (SI)(BX*8), K6, Z12; \
@@ -169,13 +170,18 @@ hidone: \
 	VSUBPD  Z12, Z3, Z3
 
 // COUPLE8_STORE closes a step (back to step while the block has more),
-// then stores the row sums to dst[i..i+7] under K6 and moves to the next
-// block.
+// then finishes the rows: it loads Z23 = freq[i..i+7] under K6, forms
+// freq + k·sum with one VMULPD and one VADDPD (no FMA, so both round as
+// Go's freq + k*sum does), stores that to dst[i..i+7] under K6 and moves
+// to the next block.
 #define COUPLE8_STORE \
 	ADDQ $32, AX; \
 	CMPQ AX, DX; \
 	JLT  step; \
 store: \
+	VMOVUPD.Z (R14)(BX*8), K6, Z23; \
+	VMULPD  Z13, Z22, Z13; \
+	VADDPD  Z13, Z23, Z13; \
 	VMOVUPD Z13, K6, (DI)(BX*8); \
 	ADDQ $8, BX; \
 	JMP  block
@@ -191,6 +197,7 @@ store: \
 // with math.Sin; their occurrence is accumulated into the boolean result
 // ("true" = no such lane).
 TEXT ·sinInto4(SB), NOSPLIT, $0-25
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ n+16(FP), CX
@@ -313,6 +320,7 @@ done:
 // with |x| ≥ 2²⁹ or NaN/Inf keep their argument for the caller's math.Sin
 // patch pass; the result is true when there were none.
 TEXT ·sinInto8(SB), NOSPLIT, $0-25
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ n+16(FP), CX
@@ -350,6 +358,7 @@ done8:
 // outputs for the caller's math.Sincos patch pass; the result is true
 // when there were none.
 TEXT ·sincosInto8(SB), NOSPLIT, $0-33
+	PCALIGN $64
 	MOVQ sin+0(FP), DI
 	MOVQ cos+8(FP), DX
 	MOVQ x+16(FP), SI
@@ -395,7 +404,7 @@ sc8done:
 	VZEROUPPER
 	RET
 
-// func tanhSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int) int
+// func tanhSums8(dst, y, freq []float64, blockPtr, lanes []int32, lo, hi int, k float64) int
 //
 // The fused tanh coupling kernel (CouplingTable.TanhSums). Each step
 // evaluates tanh Δ per lane as math.Tanh does, with no FMA: ±1 past
@@ -403,20 +412,22 @@ sc8done:
 // Δ + ((Δ·s)·P(s))/Q(s), s = Δ², which also carries NaN through. It adds
 // the term to the row's sum. The mid-range 0.625 ≤ |Δ| ≤ tanhSaturate
 // needs Exp: when a row of [lo, hi) meets one, the kernel stops and
-// returns that block's first row, so the caller can sum the block's rows
-// with math.Tanh and resume at the next block. Otherwise it returns hi.
-// Blocks before the one it stopped in are stored complete.
+// returns that block's first row, so the caller can finish the block's
+// rows with math.Tanh and resume at the next block. Otherwise it returns
+// hi. Blocks before the one it stopped in are stored complete.
 //
 // Registers: Z14–Z16 = P0–P2, Z17–Z19 = Q0–Q2, Z20 = 0.625,
 // Z21 = tanhSaturate, Z24 = 0; Z31/Z30/Z29 = abs mask, −0, 1.0.
-TEXT ·tanhSums8(SB), NOSPLIT, $0-120
+TEXT ·tanhSums8(SB), NOSPLIT, $0-152
 	PCALIGN $64
 	MOVQ dst_base+0(FP), DI
 	MOVQ y_base+24(FP), SI
-	MOVQ blockPtr_base+48(FP), R10
-	MOVQ lanes_base+72(FP), R11
-	MOVQ lo+96(FP), R12
-	MOVQ hi+104(FP), R13
+	MOVQ freq_base+48(FP), R14
+	MOVQ blockPtr_base+72(FP), R10
+	MOVQ lanes_base+96(FP), R11
+	MOVQ lo+120(FP), R12
+	MOVQ hi+128(FP), R13
+	VBROADCASTSD k+136(FP), Z22
 	LEAQ ·sinVecTab(SB), R8
 	VBROADCASTSD 576(R8), Z31
 	VBROADCASTSD 672(R8), Z30
@@ -463,32 +474,34 @@ step:
 	COUPLE8_STORE
 
 done:
-	MOVQ R13, ret+112(FP)
+	MOVQ R13, ret+144(FP)
 	VZEROUPPER
 	RET
 
 midrange:
-	MOVQ BX, ret+112(FP)
+	MOVQ BX, ret+144(FP)
 	VZEROUPPER
 	RET
 
-// func desyncSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int, w, sigma float64)
+// func desyncSums8(dst, y, freq []float64, blockPtr, lanes []int32, lo, hi int, k, w, sigma float64)
 //
 // The fused Desync coupling kernel (CouplingTable.DesyncSums). Each step
 // maps Δ to the sine argument (w·Δ inside the horizon, ∓π/2 beyond it,
 // +π/2 for NaN), runs SIN8 and subtracts the sine from the row's sum.
 // The arguments stay within ±3π/2, so SIN8's out-of-range mask is not
 // needed.
-TEXT ·desyncSums8(SB), NOSPLIT, $0-128
+TEXT ·desyncSums8(SB), NOSPLIT, $0-160
 	PCALIGN $64
 	MOVQ dst_base+0(FP), DI
 	MOVQ y_base+24(FP), SI
-	MOVQ blockPtr_base+48(FP), R10
-	MOVQ lanes_base+72(FP), R11
-	MOVQ lo+96(FP), R12
-	MOVQ hi+104(FP), R13
-	VBROADCASTSD w+112(FP), Z28
-	VBROADCASTSD sigma+120(FP), Z27
+	MOVQ freq_base+48(FP), R14
+	MOVQ blockPtr_base+72(FP), R10
+	MOVQ lanes_base+96(FP), R11
+	MOVQ lo+120(FP), R12
+	MOVQ hi+128(FP), R13
+	VBROADCASTSD k+136(FP), Z22
+	VBROADCASTSD w+144(FP), Z28
+	VBROADCASTSD sigma+152(FP), Z27
 	SIN8_SETUP
 	VBROADCASTSD 704(R8), Z26 // π/2
 	VPXORQ  Z30, Z26, Z25    // −π/2

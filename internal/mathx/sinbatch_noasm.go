@@ -16,11 +16,11 @@ func sinInto8(dst, x *float64, n int) bool { panic("mathx: no packed sine kernel
 
 func sincosInto8(sin, cos, x *float64, n int) bool { panic("mathx: no packed sine kernel") }
 
-func desyncSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int, w, sigma float64) {
+func desyncSums8(dst, y, freq []float64, blockPtr, lanes []int32, lo, hi int, k, w, sigma float64) {
 	panic("mathx: no fused Desync kernel")
 }
 
-func tanhSums8(dst, y []float64, blockPtr, lanes []int32, lo, hi int) int {
+func tanhSums8(dst, y, freq []float64, blockPtr, lanes []int32, lo, hi int, k float64) int {
 	panic("mathx: no fused tanh kernel")
 }
 

@@ -7,7 +7,9 @@
 // VDIVPD (no FMA), so each element is bit-identical to the Go loop.
 // The element loop walks AX over [0, R11) in steps of eight; every block
 // runs under the lane mask K1, which drops the lanes past the end, and
-// masked-off lanes are neither read nor written.
+// masked-off lanes are neither read nor written. Each kernel opens with
+// PCALIGN $64, as the ones in sinbatch_amd64.s do, so its placement in
+// cache lines does not move with the size of the code linked before it.
 
 // LANES8 sets K1 to the lanes AX … min(AX+8, R11)−1; the caller has
 // checked AX < R11. Clobbers BX, CX.
@@ -52,6 +54,7 @@
 // (see FIRST8). A nil y clears K3, so the y load never happens
 // (masked-off lanes are not read) and Z0 stays h*(…) bit for bit.
 TEXT ·linComb8(SB), NOSPLIT, $0-56
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ y+8(FP), SI
 	MOVQ n+16(FP), R11
@@ -149,6 +152,7 @@ done:
 // running sum X10 one lane at a time, in element order; masked-off lanes
 // add +0, which leaves the sum (never −0) unchanged.
 TEXT ·errSumSq8(SB), NOSPLIT, $0-72
+	PCALIGN $64
 	MOVQ y+0(FP), SI
 	MOVQ ynew+8(FP), DI
 	MOVQ n+16(FP), R11
@@ -220,6 +224,7 @@ done:
 
 // func denseFill8(rc *[5][]float64, y, ynew, k1, k7 *float64, n int, h float64)
 TEXT ·denseFill8(SB), NOSPLIT, $0-56
+	PCALIGN $64
 	MOVQ rc+0(FP), R9
 	MOVQ 0(R9), R12          // rc[0]
 	MOVQ 24(R9), R13         // rc[1]
@@ -260,6 +265,7 @@ done:
 
 // func horner8(dst *float64, rc *[5][]float64, n int, th, th1 float64)
 TEXT ·horner8(SB), NOSPLIT, $0-40
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ rc+8(FP), R9
 	MOVQ 0(R9), R12          // rc[0]

@@ -32,12 +32,15 @@ type Local interface {
 // Batch is implemented by local noises that can evaluate ζ for a block
 // of consecutive oscillators in one call. The oscillator model's
 // right-hand side asks for each row chunk's noise at once instead of
-// dispatching one Zeta call per row.
+// dispatching one Zeta call per row, and skips its frequency pass while
+// the chunk is quiet.
 type Batch interface {
 	Local
 	// ZetaInto writes ζ_{lo+k}(t) into dst[k] for every k, bit-for-bit
-	// what Zeta(lo+k, t) returns.
-	ZetaInto(dst []float64, lo int, t float64)
+	// what Zeta(lo+k, t) returns, and reports whether the block is loud.
+	// false promises that every dst[k] is ±0; true may still come with an
+	// all-zero block. NaN counts as nonzero.
+	ZetaInto(dst []float64, lo int, t float64) bool
 }
 
 // elementwise adapts any Local to Batch with a per-row loop — the
@@ -45,10 +48,13 @@ type Batch interface {
 type elementwise struct{ Local }
 
 //pomvet:allocfree
-func (e elementwise) ZetaInto(dst []float64, lo int, t float64) {
+func (e elementwise) ZetaInto(dst []float64, lo int, t float64) bool {
+	loud := false
 	for k := range dst {
 		dst[k] = e.Local.Zeta(lo+k, t)
+		loud = loud || dst[k] != 0
 	}
+	return loud
 }
 
 // BatchOf returns l itself when it already implements Batch, and an
@@ -225,22 +231,28 @@ func (s Sum) Zeta(i int, t float64) float64 {
 // ZetaInto implements Batch: the block accumulates each component in
 // order, exactly as Zeta does per row. A Delay adds only to its own rank;
 // skipping the other rows' "+ 0" is exact, since a sum started from +0
-// never holds −0.
+// never holds −0. The block is loud once any write leaves a nonzero
+// slot, so a Sum of Delays is quiet outside every window without a look
+// at dst.
 //
 //pomvet:allocfree
-func (s Sum) ZetaInto(dst []float64, lo int, t float64) {
+func (s Sum) ZetaInto(dst []float64, lo int, t float64) bool {
 	clear(dst)
+	loud := false
 	for _, n := range s {
 		if d, ok := n.(Delay); ok {
 			if k := d.at(lo, len(dst), t); k >= 0 {
 				dst[k] += d.Extra
+				loud = loud || dst[k] != 0
 			}
 			continue
 		}
 		for k := range dst {
 			dst[k] += n.Zeta(lo+k, t)
+			loud = loud || dst[k] != 0
 		}
 	}
+	return loud
 }
 
 // CommJitter is frozen interaction noise: τ_ij(t) uniform in

@@ -7,30 +7,34 @@ import (
 	"repro/internal/mathx"
 )
 
-// Coupler evaluates the coupling sums of Eq. (2),
+// Coupler evaluates the delay-free rates of Eq. (2),
 //
-//	c_i = Σ_{p ∈ row i} V(y[Cols[p]] − y[i]),
+//	dst[i] = freq[i] + k·c_i,   c_i = Σ_{p ∈ row i} V(y[Cols[p]] − y[i]),
 //
 // over a CSR neighbor structure (RowPtr, Cols) with one scratch slot per
 // directed edge. It is the kernel every delay-free oscillator right-hand
 // side runs through: the discrete model's topology rows and the continuum
-// field's two-partner stencil alike. SumRange gathers the phase
-// differences of a row block into the packed buffer, evaluates V over the
-// block in one batched call, and reduces each row in CSR order — no
-// per-pair interface dispatch and no steady-state allocations.
+// field's two-partner stencil alike. The caller passes the frequency row
+// (ω, 2π, or 2π/(P + ζ) while a delay is active), so the kernel writes
+// the finished rate and no per-row pass follows it. RateRange gathers
+// the phase differences of a row block into the packed buffer, evaluates
+// V over the block in one batched call, and reduces each row in CSR
+// order into its rate — no per-pair interface dispatch and no
+// steady-state allocations.
 //
 // For the Desync potential the gather writes the sine argument directly
 // (w·Δ inside the horizon, ∓π/2 outside it) and the row sum subtracts the
 // sine, so one pass precedes mathx.SinInto and one follows it; for Tanh
 // the batch is mathx.TanhInto. On CPUs with AVX-512 the whole Desync or
 // Tanh pass instead runs in registers, eight rows at a time, over one
-// lane-transposed copy of the columns (mathx.CouplingTable); it gives
-// the same bits.
+// lane-transposed copy of the columns (mathx.CouplingTable), and the
+// kernel adds freq[i] + k·c_i before its store; it gives the same bits.
 //
 // Each row's sum starts from its first term (rows without partners sum to
-// 0). Chunks [lo, hi) touch disjoint buffer ranges, so SumRange may run
-// concurrently on disjoint row ranges; a Coupler must not otherwise be
-// shared between concurrent callers.
+// +0), and the rate rounds twice, k·c_i and then the sum, with no FMA on
+// any path. Chunks [lo, hi) touch disjoint buffer ranges, so RateRange
+// may run concurrently on disjoint row ranges; a Coupler must not
+// otherwise be shared between concurrent callers.
 type Coupler struct {
 	rowPtr, cols []int32
 	rows         []int32 // rows[p] = owning row of edge p (gather loop)
@@ -82,20 +86,20 @@ func NewCoupler(p Potential, rowPtr, cols []int32) *Coupler {
 	return c
 }
 
-// SumRange writes the coupling sum c_i of every row i in [lo, hi) into
-// dst[i], reading phases from y. It panics unless 0 ≤ lo ≤ hi ≤ rows,
-// len(y) ≥ rows and len(dst) ≥ hi.
+// RateRange writes the rate freq[i] + k·c_i of every row i in [lo, hi)
+// into dst[i], reading phases from y. It panics unless
+// 0 ≤ lo ≤ hi ≤ rows, len(y) ≥ rows and len(dst) and len(freq) ≥ hi.
 //
 //pomvet:allocfree
-func (c *Coupler) SumRange(dst, y []float64, lo, hi int) {
-	if n := len(c.rowPtr) - 1; lo < 0 || lo > hi || hi > n || len(y) < n || len(dst) < hi {
-		panic("potential: SumRange range out of bounds")
+func (c *Coupler) RateRange(dst, y, freq []float64, k float64, lo, hi int) {
+	if n := len(c.rowPtr) - 1; lo < 0 || lo > hi || hi > n || len(y) < n || len(dst) < hi || len(freq) < hi {
+		panic("potential: RateRange range out of bounds")
 	}
 	if c.lanes != nil {
 		if c.desync {
-			c.lanes.DesyncSums(dst, y, lo, hi, c.w, c.sigma)
+			c.lanes.DesyncSums(dst, y, freq, k, lo, hi, c.w, c.sigma)
 		} else {
-			c.lanes.TanhSums(dst, y, lo, hi)
+			c.lanes.TanhSums(dst, y, freq, k, lo, hi)
 		}
 		return
 	}
@@ -114,27 +118,26 @@ func (c *Coupler) SumRange(dst, y []float64, lo, hi int) {
 		c.batch.EvalInto(buf, buf)
 	}
 	// Reduce row by row in CSR order; p walks buf once. For Desync the
-	// buffer holds sines, and s -= v is exactly s + V with V = −v.
+	// buffer holds sines, and s -= v is exactly s + V with V = −v. The
+	// float64 conversion keeps k·s rounded on its own (no FMA).
 	rowPtr := c.rowPtr[lo : hi+1]
 	p := 0
 	for i := lo; i < hi; i++ {
 		end := int(rowPtr[i-lo+1] - b0)
-		if p == end {
-			dst[i] = 0
-			continue
-		}
-		if c.desync {
-			s := -buf[p]
-			for p++; p < end; p++ {
-				s -= buf[p]
+		s := 0.0
+		if p < end {
+			if c.desync {
+				s = -buf[p]
+				for p++; p < end; p++ {
+					s -= buf[p]
+				}
+			} else {
+				s = buf[p]
+				for p++; p < end; p++ {
+					s += buf[p]
+				}
 			}
-			dst[i] = s
-			continue
 		}
-		s := buf[p]
-		for p++; p < end; p++ {
-			s += buf[p]
-		}
-		dst[i] = s
+		dst[i] = freq[i] + float64(k*s)
 	}
 }

@@ -105,8 +105,9 @@ func scalarSums(p Potential, c csr, y []float64) []float64 {
 	return out
 }
 
-// TestCouplerMatchesScalar pins the shared kernel bitwise to per-pair
-// Eval sums over every built-in potential, on each Desync and Tanh pass
+// TestCouplerMatchesScalar pins the shared kernel bitwise to
+// freq[i] + k·(per-pair Eval sum), for k ∈ {0, 0.3, −1.7, 1e300} on
+// random frequency rows, over every built-in potential, on each Desync and Tanh pass
 // (fused AVX-512 and portable), for the generic fallback, and for the
 // structural corner cases: duplicate columns, radius-2 torus rows, ring,
 // mirror, star and irregular graphs (with empty rows) at row counts that
@@ -200,57 +201,88 @@ func TestCouplerMatchesScalar(t *testing.T) {
 	}
 }
 
-// checkCoupler compares one coupler against scalarSums: over all rows at
-// once, in 3-row chunks, and over rows [3, 29), which straddles 8-row
-// blocks and must leave every other dst element untouched. dst starts
-// from a sentinel each time, so an unwritten row shows.
+// rateKs are the couplings checkCoupler runs: zero, ordinary values of
+// both signs, and one so large that k·c_i swamps freq[i].
+var rateKs = []float64{0, 0.3, -1.7, 1e300}
+
+// randomFreqs is a frequency row of n entries: ordinary values of both
+// signs, 2π, ±0 and an occasional huge one.
+func randomFreqs(rng *rand.Rand, n int) []float64 {
+	f := make([]float64, n)
+	for i := range f {
+		switch r := rng.Intn(10); {
+		case r == 0:
+			f[i] = 0
+		case r == 1:
+			f[i] = math.Copysign(0, -1)
+		case r == 2:
+			f[i] = 2 * math.Pi
+		case r == 3:
+			f[i] = 1e300 * (rng.Float64() - 0.5)
+		default:
+			f[i] = 20 * (rng.Float64() - 0.5)
+		}
+	}
+	return f
+}
+
+// checkCoupler compares one coupler against freq[i] + k·scalarSums[i],
+// for every k of rateKs on a fresh random frequency row each: over all
+// rows at once, in 3-row chunks, and over rows [3, 29), which straddles
+// 8-row blocks and must leave every other dst element untouched. dst
+// starts from a sentinel each time, so an unwritten row shows.
 func checkCoupler(t *testing.T, c csr, p Potential, y []float64) {
 	t.Helper()
 	n := len(c.rowPtr) - 1
-	want := scalarSums(p, c, y)
+	sums := scalarSums(p, c, y)
 	cp := NewCoupler(p, c.rowPtr, c.cols)
 	_, desync := p.(Desync)
 	if _, tanh := p.(Tanh); (desync || tanh) && fused != (cp.lanes != nil) {
 		t.Fatalf("%s/%s: fused pass %v, want %v", c.name, p.Name(), cp.lanes != nil, fused)
 	}
-	same := func(what string, got []float64, lo, hi int) {
-		t.Helper()
-		for i := range want {
-			w := want[i]
-			if i < lo || i >= hi {
-				w = -7 // sentinel
-			}
-			// A NaN sum's payload depends on which operand the compiler
-			// puts first, so any NaN matches a NaN.
-			if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
-				t.Fatalf("%s/%s: %s row %d = %v, want %v", c.name, p.Name(), what, i, got[i], w)
-			}
-		}
-	}
+	rng := rand.New(rand.NewSource(int64(n)))
 	got := make([]float64, n)
-	fill := func() {
-		for i := range got {
-			got[i] = -7
+	for _, k := range rateKs {
+		freq := randomFreqs(rng, n)
+		same := func(what string, lo, hi int) {
+			t.Helper()
+			for i := range sums {
+				w := freq[i] + float64(k*sums[i])
+				if i < lo || i >= hi {
+					w = -7 // sentinel
+				}
+				// A NaN sum's payload depends on which operand the compiler
+				// puts first, so any NaN matches a NaN.
+				if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
+					t.Fatalf("%s/%s k=%v: %s row %d = %v, want %v (freq %v, sum %v)",
+						c.name, p.Name(), k, what, i, got[i], w, freq[i], sums[i])
+				}
+			}
 		}
+		fill := func() {
+			for i := range got {
+				got[i] = -7
+			}
+		}
+		fill()
+		cp.RateRange(got, y, freq, k, 0, n)
+		same("whole", 0, n)
+		fill()
+		for lo := 0; lo < n; lo += 3 {
+			cp.RateRange(got, y, freq, k, lo, min(lo+3, n))
+		}
+		same("chunked", 0, n)
+		fill()
+		lo, hi := min(3, n), min(29, n)
+		cp.RateRange(got, y, freq, k, lo, hi)
+		same("straddling", lo, hi)
 	}
-	fill()
-	cp.SumRange(got, y, 0, n)
-	same("whole", got, 0, n)
-	fill()
-	for lo := 0; lo < n; lo += 3 {
-		cp.SumRange(got, y, lo, min(lo+3, n))
-	}
-	same("chunked", got, 0, n)
-	fill()
-	lo, hi := min(3, n), min(29, n)
-	cp.SumRange(got, y, lo, hi)
-	same("straddling", got, lo, hi)
 }
 
 // TestCouplerRejectsBadInput pins the bounds checks that stand in for Go
 // indexing in front of the fused kernel: a column outside [0, rows) is
-// refused at construction, and SumRange refuses short y or dst slices
-// and bad row ranges, on every Desync pass and for a batched potential.
+// refused at construction, and RateRange refuses short y, dst or freq
+// slices and bad row ranges, on every Desync and Tanh pass.
 func TestCouplerRejectsBadInput(t *testing.T) {
 	c := ringCSR(9)
 	for _, fused := range couplerPaths() {
@@ -263,12 +295,13 @@ func TestCouplerRejectsBadInput(t *testing.T) {
 					mustPanic(t, p.Name()+": bad column", func() { NewCoupler(p, c.rowPtr, cols) })
 				}
 				cp := NewCoupler(p, c.rowPtr, c.cols)
-				y, dst := make([]float64, 9), make([]float64, 9)
-				mustPanic(t, p.Name()+": short y", func() { cp.SumRange(dst, y[:8], 0, 1) })
-				mustPanic(t, p.Name()+": short dst", func() { cp.SumRange(dst[:4], y, 0, 5) })
-				mustPanic(t, p.Name()+": hi past rows", func() { cp.SumRange(dst, y, 0, 10) })
-				mustPanic(t, p.Name()+": lo > hi", func() { cp.SumRange(dst, y, 5, 4) })
-				mustPanic(t, p.Name()+": negative lo", func() { cp.SumRange(dst, y, -1, 4) })
+				y, dst, freq := make([]float64, 9), make([]float64, 9), make([]float64, 9)
+				mustPanic(t, p.Name()+": short y", func() { cp.RateRange(dst, y[:8], freq, 1, 0, 1) })
+				mustPanic(t, p.Name()+": short dst", func() { cp.RateRange(dst[:4], y, freq, 1, 0, 5) })
+				mustPanic(t, p.Name()+": short freq", func() { cp.RateRange(dst, y, freq[:4], 1, 0, 5) })
+				mustPanic(t, p.Name()+": hi past rows", func() { cp.RateRange(dst, y, freq, 1, 0, 10) })
+				mustPanic(t, p.Name()+": lo > hi", func() { cp.RateRange(dst, y, freq, 1, 5, 4) })
+				mustPanic(t, p.Name()+": negative lo", func() { cp.RateRange(dst, y, freq, 1, -1, 4) })
 			}
 		})
 	}
@@ -292,14 +325,14 @@ func TestCouplerZeroAllocs(t *testing.T) {
 	c := ringCSR(64)
 	y := scaledPhases(64, 1.1)
 	y[23] = 2
-	dst := make([]float64, 64)
+	dst, freq := make([]float64, 64), make([]float64, 64)
 	for _, fused := range couplerPaths() {
 		t.Run(pathName(fused), func(t *testing.T) {
 			defer SetFused(fused)()
 			for _, p := range []Potential{NewDesync(1.2), Tanh{}} {
 				cp := NewCoupler(p, c.rowPtr, c.cols)
-				if a := testing.AllocsPerRun(50, func() { cp.SumRange(dst, y, 0, 64) }); a != 0 {
-					t.Fatalf("%s: SumRange allocates %v objects per call, want 0", p.Name(), a)
+				if a := testing.AllocsPerRun(50, func() { cp.RateRange(dst, y, freq, 0.5, 0, 64) }); a != 0 {
+					t.Fatalf("%s: RateRange allocates %v objects per call, want 0", p.Name(), a)
 				}
 			}
 		})
@@ -355,14 +388,14 @@ func BenchmarkCoupler(b *testing.B) {
 			for _, bc := range benchCases(b) {
 				b.Run(pathName(fused)+"/"+bp.name+"/"+bc.name, func(b *testing.B) {
 					n := len(bc.c.rowPtr) - 1
-					y, dst := scaledPhases(n, bp.amp), make([]float64, n)
+					y, dst, freq := scaledPhases(n, bp.amp), make([]float64, n), make([]float64, n)
 					restore := SetFused(fused)
 					cp := NewCoupler(bp.p, bc.c.rowPtr, bc.c.cols)
 					restore()
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						cp.SumRange(dst, y, 0, n)
+						cp.RateRange(dst, y, freq, 0.5, 0, n)
 					}
 				})
 			}
@@ -370,14 +403,14 @@ func BenchmarkCoupler(b *testing.B) {
 	}
 }
 
-// BenchmarkCouplerScalar is BenchmarkCoupler's twin: the same sums as a
-// per-pair loop through the Potential interface.
+// BenchmarkCouplerScalar is BenchmarkCoupler's twin: the same rates as
+// a per-pair loop through the Potential interface.
 func BenchmarkCouplerScalar(b *testing.B) {
 	for _, bp := range benchPots {
 		for _, bc := range benchCases(b) {
 			b.Run(bp.name+"/"+bc.name, func(b *testing.B) {
 				n := len(bc.c.rowPtr) - 1
-				y, dst := scaledPhases(n, bp.amp), make([]float64, n)
+				y, dst, freq := scaledPhases(n, bp.amp), make([]float64, n), make([]float64, n)
 				rowPtr, cols, p := bc.c.rowPtr, bc.c.cols, bp.p
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -387,7 +420,7 @@ func BenchmarkCouplerScalar(b *testing.B) {
 						for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
 							s += p.Eval(y[cols[q]] - y[i])
 						}
-						dst[i] = s
+						dst[i] = freq[i] + 0.5*s
 					}
 				}
 			})
