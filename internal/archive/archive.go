@@ -125,18 +125,17 @@ func NextShard(dir string) (int, error) {
 // Close, when the footer index is written, the file synced, and the
 // *.tmp name atomically renamed to the final one.
 type Writer struct {
-	dir     string
-	shard   int    // shard id (the NNNNN of shard-NNNNN.pom)
-	path    string // final path
-	tmp     string // in-progress path
-	f       *os.File
-	bw      *bufio.Writer
-	off     int64 // logical write offset (through bw)
-	ents    []indexEntry
-	rec     *RecordWriter // open record, if any
-	buf     []byte        // encoding scratch
-	version int           // shard format generation (1 or 2)
-	codec   Codec         // resolved record codec (CodecRaw or CodecDelta)
+	dir   string
+	shard int    // shard id (the NNNNN of shard-NNNNN.pom)
+	path  string // final path
+	tmp   string // in-progress path
+	f     *os.File
+	bw    *bufio.Writer
+	off   int64 // logical write offset (through bw)
+	ents  []indexEntry
+	rec   *RecordWriter // open record, if any
+	buf   []byte        // encoding scratch
+	codec Codec         // resolved record codec (CodecRaw or CodecDelta)
 	// Per-column predictor state for CodecDelta, sized by
 	// RecordWriter.Begin so Sample never allocates (prev[0] is the time
 	// column). Owned by the Writer so scratch survives across records.
@@ -159,28 +158,11 @@ type indexEntry struct {
 	length uint32
 }
 
-// Create opens a new shard writer for the given shard id inside dir
-// (created if missing), writing the current format generation
-// (POMARC2) with the default codec (CodecDelta). The data lands in a
-// *.tmp file until Close.
-func Create(dir string, shard int) (*Writer, error) {
-	return CreateWith(dir, shard, CodecDefault)
-}
-
-// CreateWith is Create with an explicit record codec.
+// CreateWith opens a new shard writer for the given shard id inside dir
+// (created if missing), writing the current format generation (POMARC2)
+// with the given record codec. The data lands in a *.tmp file until
+// Close.
 func CreateWith(dir string, shard int, codec Codec) (*Writer, error) {
-	return create(dir, shard, 2, codec)
-}
-
-// CreateV1 opens a shard writer that produces the legacy POMARC1
-// format (raw payloads, no codec byte). It exists so compatibility
-// tests and tooling can generate previous-generation archives; new
-// writes should use Create/CreateWith.
-func CreateV1(dir string, shard int) (*Writer, error) {
-	return create(dir, shard, 1, CodecRaw)
-}
-
-func create(dir string, shard, version int, codec Codec) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
@@ -207,29 +189,19 @@ func create(dir string, shard, version int, codec Codec) (*Writer, error) {
 	}
 	w := &Writer{
 		dir: dir, shard: shard, path: path, tmp: tmp, f: f,
-		bw:      bufio.NewWriterSize(f, 1<<16),
-		version: version,
-		codec:   codec.resolve(),
+		bw:    bufio.NewWriterSize(f, 1<<16),
+		codec: codec.resolve(),
 	}
-	if version == 1 {
-		w.writeRaw([]byte(shardMagicV1))
-	} else {
-		w.writeRaw([]byte(shardMagicV2))
-	}
+	w.writeRaw([]byte(shardMagicV2))
 	return w, nil
 }
 
-// CreateAny opens a new shard writer on the first free shard id >= from,
-// skipping ids whose final or in-progress file already exists. This is
-// the claim path for writers sharing one directory across processes:
-// two workers racing NextShard both see the same "next" id, the O_EXCL
-// create serializes them, and the loser simply moves to the next id
-// instead of failing the run.
-func CreateAny(dir string, from int) (*Writer, error) {
-	return CreateAnyWith(dir, from, CodecDefault)
-}
-
-// CreateAnyWith is CreateAny with an explicit record codec.
+// CreateAnyWith opens a new shard writer on the first free shard id >=
+// from, skipping ids whose final or in-progress file already exists.
+// This is the claim path for writers sharing one directory across
+// processes: two workers racing NextShard both see the same "next" id,
+// the O_EXCL create serializes them, and the loser simply moves to the
+// next id instead of failing the run.
 func CreateAnyWith(dir string, from int, codec Codec) (*Writer, error) {
 	if from < 0 {
 		from = 0
@@ -248,7 +220,7 @@ func CreateAnyWith(dir string, from int, codec Codec) (*Writer, error) {
 // Path returns the shard's final (post-Close) path.
 func (w *Writer) Path() string { return w.path }
 
-// Shard returns the writer's shard id — the id CreateAny settled on,
+// Shard returns the writer's shard id — the id CreateAnyWith settled on,
 // which callers that address single-record shards by id (the pomsimd
 // result cache) persist alongside their own index.
 func (w *Writer) Shard() int { return w.shard }
@@ -261,9 +233,6 @@ func (w *Writer) TmpPath() string { return w.tmp }
 
 // Len returns the number of sealed records.
 func (w *Writer) Len() int { return len(w.ents) }
-
-// Codec returns the resolved record codec the writer encodes with.
-func (w *Writer) Codec() Codec { return w.codec }
 
 // writeRaw writes b to the shard and advances the logical offset. An
 // injected fault at SiteWrite either poisons the writer with a sticky
@@ -334,11 +303,9 @@ func (w *Writer) Begin(index uint64, params []float64) (*RecordWriter, error) {
 	w.writeRaw(w.buf)
 	rw.payloadOff = w.off
 	w.buf = w.buf[:0]
-	if w.version >= 2 {
-		// POMARC2 records are self-describing: the leading codec byte
-		// lets one archive (or one merge) mix record generations.
-		w.buf = append(w.buf, w.codec.wireByte())
-	}
+	// POMARC2 records are self-describing: the leading codec byte lets
+	// one archive (or one merge) mix record generations.
+	w.buf = append(w.buf, w.codec.wireByte())
 	w.buf = u64(w.buf, index)
 	w.buf = u32(w.buf, uint32(len(params)))
 	w.buf = f64s(w.buf, params)

@@ -93,7 +93,7 @@ func TestRoundTripProperty(t *testing.T) {
 	want := make([]*Record, n)
 	writers := [2]*Writer{}
 	for s := range writers {
-		w, err := Create(dir, s)
+		w, err := CreateWith(dir, s, CodecDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestStreamedMatchesAppend(t *testing.T) {
 	rec := randRecord(rng, 3)
 	dirA, dirB := t.TempDir(), t.TempDir()
 
-	wa, err := Create(dirA, 0)
+	wa, err := CreateWith(dirA, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestStreamedMatchesAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wb, err := Create(dirB, 0)
+	wb, err := CreateWith(dirB, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,33 +198,52 @@ func TestStreamedMatchesAppend(t *testing.T) {
 	}
 }
 
-// formatVariants enumerates every way a shard can be written: the two
-// POMARC2 codecs plus the legacy POMARC1 format. Corruption sweeps and
-// round-trip properties run over all of them.
-var formatVariants = []struct {
-	name   string
-	create func(dir string, shard int) (*Writer, error)
-}{
-	{"delta", func(dir string, shard int) (*Writer, error) { return CreateWith(dir, shard, CodecDelta) }},
-	{"raw", func(dir string, shard int) (*Writer, error) { return CreateWith(dir, shard, CodecRaw) }},
-	{"v1", CreateV1},
+// formatVariants enumerates every shard format the readers accept: the
+// two POMARC2 codecs plus the legacy POMARC1 generation. Corruption
+// sweeps and round-trip properties run over all of them.
+var formatVariants = []string{"delta", "raw", "v1"}
+
+// v1Shard is a legacy POMARC1 shard holding variantRecords(). It was
+// written by the POMARC1 writer, which no longer exists; the readers
+// keep accepting the format.
+const v1Shard = "testdata/pomarc1/shard-00000.pom"
+
+// variantRecords returns the records every variant shard holds:
+// randRecord draws from seed 77, with specialRecord at every fifth index.
+func variantRecords() []*Record {
+	rng := rand.New(rand.NewSource(77))
+	recs := make([]*Record, 10)
+	for i := range recs {
+		if i%5 == 4 {
+			recs[i] = specialRecord(uint64(i))
+		} else {
+			recs[i] = randRecord(rng, uint64(i))
+		}
+	}
+	return recs
 }
 
-// writeTestShard writes a 3-record shard and returns its path.
-func writeTestShard(t *testing.T, dir string) string {
-	return writeTestShardWith(t, dir, Create)
-}
-
-func writeTestShardWith(t *testing.T, dir string, create func(string, int) (*Writer, error)) string {
+// writeVariantShard puts variantRecords() into shard id of dir in the
+// named format and returns the shard's path.
+func writeVariantShard(t *testing.T, variant, dir string, id int) string {
 	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	w, err := create(dir, 0)
+	path := filepath.Join(dir, shardName(id))
+	if variant == "v1" {
+		data, err := os.ReadFile(v1Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	codec := map[string]Codec{"delta": CodecDelta, "raw": CodecRaw}[variant]
+	w, err := CreateWith(dir, id, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		rec := randRecord(rng, uint64(i))
-		rec.Width, rec.Ts, rec.Samples = 2, []float64{0, 1}, []float64{1, 2, 3, 4}
+	for _, rec := range variantRecords() {
 		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +251,7 @@ func writeTestShardWith(t *testing.T, dir string, create func(string, int) (*Wri
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return w.Path()
+	return path
 }
 
 // TestTornWrite truncates a shard at every byte boundary and asserts the
@@ -241,8 +260,8 @@ func writeTestShardWith(t *testing.T, dir string, create func(string, int) (*Wri
 // variant (both POMARC2 codecs and legacy POMARC1).
 func TestTornWrite(t *testing.T) {
 	for _, v := range formatVariants {
-		t.Run(v.name, func(t *testing.T) {
-			path := writeTestShardWith(t, t.TempDir(), v.create)
+		t.Run(v, func(t *testing.T) {
+			path := writeVariantShard(t, v, t.TempDir(), 0)
 			good, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -272,8 +291,8 @@ func TestTornWrite(t *testing.T) {
 // surfaces exactly like damage inside a raw one.
 func TestBitRot(t *testing.T) {
 	for _, v := range formatVariants {
-		t.Run(v.name, func(t *testing.T) {
-			path := writeTestShardWith(t, t.TempDir(), v.create)
+		t.Run(v, func(t *testing.T) {
+			path := writeVariantShard(t, v, t.TempDir(), 0)
 			good, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -303,7 +322,7 @@ func TestBitRot(t *testing.T) {
 
 func TestRollback(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +365,7 @@ func TestRollback(t *testing.T) {
 }
 
 func TestShortSampleStreamRejected(t *testing.T) {
-	w, err := Create(t.TempDir(), 0)
+	w, err := CreateWith(t.TempDir(), 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +388,7 @@ func TestShortSampleStreamRejected(t *testing.T) {
 
 func TestAbortLeavesNoFiles(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +412,7 @@ func TestNextShard(t *testing.T) {
 	if id, err := NextShard(dir); err != nil || id != 0 {
 		t.Fatalf("empty dir: %d, %v", id, err)
 	}
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +437,7 @@ func TestNextShard(t *testing.T) {
 // be skipped entirely, mis-aligning every later field).
 func TestRecordWithoutSamples(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,12 +500,12 @@ func TestDecodeOverflowingDimensions(t *testing.T) {
 // the same shard id fails loudly instead of interleaving writes.
 func TestCreateRefusesLiveTmp(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if w2, err := Create(dir, 0); err == nil {
+	if w2, err := CreateWith(dir, 0, CodecDefault); err == nil {
 		w2.Abort()
 		t.Fatal("second writer on the same shard id accepted")
 	}
@@ -495,7 +514,7 @@ func TestCreateRefusesLiveTmp(t *testing.T) {
 func TestDuplicateIndexAcrossShards(t *testing.T) {
 	dir := t.TempDir()
 	for s := 0; s < 2; s++ {
-		w, err := Create(dir, s)
+		w, err := CreateWith(dir, s, CodecDefault)
 		if err != nil {
 			t.Fatal(err)
 		}

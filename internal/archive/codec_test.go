@@ -43,43 +43,26 @@ func specialRecord(index uint64) *Record {
 // TestCodecRoundTripAllVariants runs the record round-trip property
 // over every format variant, with both random records and the
 // special-value record, pinning decode(encode(rows)) bitwise-identical.
+// For POMARC1 it pins that the committed legacy shard still decodes to
+// the records it was written from.
 func TestCodecRoundTripAllVariants(t *testing.T) {
 	for _, v := range formatVariants {
-		t.Run(v.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(77))
+		t.Run(v, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := v.create(dir, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 25
-			want := make([]*Record, n)
-			for i := 0; i < n; i++ {
-				if i%5 == 4 {
-					want[i] = specialRecord(uint64(i))
-				} else {
-					want[i] = randRecord(rng, uint64(i))
-				}
-				if err := w.Append(want[i]); err != nil {
-					t.Fatalf("append %d: %v", i, err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+			writeVariantShard(t, v, dir, 0)
 			a, err := OpenDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			for i := 0; i < n; i++ {
+			for i, want := range variantRecords() {
 				got, err := a.Read(uint64(i))
 				if err != nil {
 					t.Fatalf("read %d: %v", i, err)
 				}
-				if !recordsEqual(got, want[i]) {
+				if !recordsEqual(got, want) {
 					t.Fatalf("record %d changed through %s round trip:\n got %+v\nwant %+v",
-						i, v.name, got, want[i])
+						i, v, got, want)
 				}
 			}
 		})
@@ -89,59 +72,37 @@ func TestCodecRoundTripAllVariants(t *testing.T) {
 // TestCanonicalEqualAcrossCodecs pins the cross-generation equality
 // story: the same records archived as delta, raw, and legacy POMARC1
 // yield identical ReadCanonical bytes, even though the on-disk payloads
-// differ, and the delta payloads really are smaller on smooth rows.
+// differ.
 func TestCanonicalEqualAcrossCodecs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	recs := make([]*Record, 8)
-	for i := range recs {
-		recs[i] = randRecord(rng, uint64(i))
-	}
-	recs[3] = specialRecord(3)
-
-	type opened struct {
-		name string
-		a    *Archive
-	}
-	var archives []opened
-	for _, v := range formatVariants {
+	archives := make([]*Archive, len(formatVariants))
+	for i, v := range formatVariants {
 		dir := t.TempDir()
-		w, err := v.create(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if err := w.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writeVariantShard(t, v, dir, 0)
 		a, err := OpenDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer a.Close()
-		archives = append(archives, opened{v.name, a})
+		archives[i] = a
 	}
-	for _, rec := range recs {
-		ref, err := archives[0].a.ReadCanonical(rec.Index)
+	for _, rec := range variantRecords() {
+		ref, err := archives[0].ReadCanonical(rec.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range archives[1:] {
-			got, err := o.a.ReadCanonical(rec.Index)
+		for i, a := range archives[1:] {
+			got, err := a.ReadCanonical(rec.Index)
 			if err != nil {
-				t.Fatalf("%s: %v", o.name, err)
+				t.Fatalf("%s: %v", formatVariants[i+1], err)
 			}
 			if !bytes.Equal(ref, got) {
 				t.Fatalf("record %d: canonical bytes differ between %s and %s",
-					rec.Index, archives[0].name, o.name)
+					rec.Index, formatVariants[0], formatVariants[i+1])
 			}
 		}
 		// v1 canonical bytes are the raw payload itself; the v2 raw
 		// codec stores them behind one codec byte.
-		rawPayload, err := archives[1].a.ReadRaw(rec.Index)
+		rawPayload, err := archives[1].ReadRaw(rec.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,13 +118,15 @@ func TestCanonicalEqualAcrossCodecs(t *testing.T) {
 func TestMixedGenerationDir(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dir := t.TempDir()
-	for s, v := range formatVariants {
-		w, err := v.create(dir, s)
+	n := len(variantRecords())
+	writeVariantShard(t, "v1", dir, 0) // indices [0, n)
+	for s, codec := range []Codec{CodecDelta, CodecRaw} {
+		w, err := CreateWith(dir, s+1, codec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
-			if err := w.Append(randRecord(rng, uint64(s*4+i))); err != nil {
+			if err := w.Append(randRecord(rng, uint64(n+s*4+i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,15 +139,15 @@ func TestMixedGenerationDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if a.Len() != 12 {
-		t.Fatalf("mixed-generation archive has %d points, want 12", a.Len())
+	if a.Len() != n+8 {
+		t.Fatalf("mixed-generation archive has %d points, want %d", a.Len(), n+8)
 	}
 	seen := 0
 	if err := a.Iter(func(*Record) error { seen++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if seen != 12 {
-		t.Fatalf("Iter visited %d of 12 records", seen)
+	if seen != n+8 {
+		t.Fatalf("Iter visited %d of %d records", seen, n+8)
 	}
 }
 
@@ -194,22 +157,20 @@ func TestShardVersionAndRecordCodec(t *testing.T) {
 	wantCodec := map[string]Codec{"delta": CodecDelta, "raw": CodecRaw, "v1": CodecRaw}
 	wantVer := map[string]int{"delta": 2, "raw": 2, "v1": 1}
 	for _, v := range formatVariants {
-		dir := t.TempDir()
-		path := writeTestShardWith(t, dir, v.create)
-		s, err := OpenShard(path)
+		s, err := OpenShard(writeVariantShard(t, v, t.TempDir(), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Version() != wantVer[v.name] {
-			t.Errorf("%s: version %d, want %d", v.name, s.Version(), wantVer[v.name])
+		if s.Version() != wantVer[v] {
+			t.Errorf("%s: version %d, want %d", v, s.Version(), wantVer[v])
 		}
 		for k := 0; k < s.Len(); k++ {
 			c, err := s.RecordCodec(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c != wantCodec[v.name] {
-				t.Errorf("%s: record %d codec %v, want %v", v.name, k, c, wantCodec[v.name])
+			if c != wantCodec[v] {
+				t.Errorf("%s: record %d codec %v, want %v", v, k, c, wantCodec[v])
 			}
 		}
 		s.Close()

@@ -28,8 +28,7 @@
 // The format is versioned by the header magic. Writers produce the
 // current generation, POMARC2; readers (OpenShard, OpenDir) accept
 // both generations, and one directory may mix them — resume, merge,
-// and comparison all work across the mix. CreateV1 still writes the
-// legacy generation for byte-compatibility with old tooling.
+// and comparison all work across the mix.
 //
 // All integers are little-endian:
 //

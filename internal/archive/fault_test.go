@@ -29,7 +29,7 @@ func TestCloseSyncsParentDir(t *testing.T) {
 	defer failpoint.Reset()
 	dir := t.TempDir()
 	failpoint.Enable(SiteSyncDir, failpoint.Observe())
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestCloseReportsDirSyncFailureButKeepsShard(t *testing.T) {
 	dir := t.TempDir()
 	boom := errors.New("disk on fire")
 	failpoint.Enable(SiteSyncDir, failpoint.FailAt(1, boom))
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCloseReportsDirSyncFailureButKeepsShard(t *testing.T) {
 func TestInjectedWriteErrorRollsBackAndHeals(t *testing.T) {
 	defer failpoint.Reset()
 	dir := t.TempDir()
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestInjectedWriteErrorRollsBackAndHeals(t *testing.T) {
 func TestTornWriteOnUnsealedShardPoisonsClose(t *testing.T) {
 	defer failpoint.Reset()
 	dir := t.TempDir()
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestTornWriteOnUnsealedShardPoisonsClose(t *testing.T) {
 func TestCrashLeavesTornTmpAndReadersRejectIt(t *testing.T) {
 	defer failpoint.Reset()
 	dir := t.TempDir()
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCrashLeavesTornTmpAndReadersRejectIt(t *testing.T) {
 // them — this loop walks every prefix length of a real shard.
 func TestReadersRejectEmptyAndTruncatedShards(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, 0)
+	w, err := CreateWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +253,12 @@ func TestReadersRejectEmptyAndTruncatedShards(t *testing.T) {
 // past ids already committed or in progress instead of failing.
 func TestCreateAnySkipsTakenIds(t *testing.T) {
 	dir := t.TempDir()
-	w0, err := Create(dir, 0) // id 0 in progress
+	w0, err := CreateWith(dir, 0, CodecDefault) // id 0 in progress
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w0.Abort()
-	w1, err := Create(dir, 1) // id 1 committed
+	w1, err := CreateWith(dir, 1, CodecDefault) // id 1 committed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,12 +268,12 @@ func TestCreateAnySkipsTakenIds(t *testing.T) {
 	if err := w1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, err := CreateAny(dir, 0)
+	w, err := CreateAnyWith(dir, 0, CodecDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Abort()
 	if got, want := w.Path(), filepath.Join(dir, "shard-00002.pom"); got != want {
-		t.Fatalf("CreateAny claimed %s, want %s", got, want)
+		t.Fatalf("CreateAnyWith claimed %s, want %s", got, want)
 	}
 }

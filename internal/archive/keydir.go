@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -151,16 +150,6 @@ func (kd *KeyDir) Get(key string) (uint64, bool) {
 
 // Len returns the number of stored keys.
 func (kd *KeyDir) Len() int { return len(kd.m) }
-
-// Keys returns the stored keys in sorted order.
-func (kd *KeyDir) Keys() []string {
-	out := make([]string, 0, len(kd.m))
-	for k := range kd.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Put durably appends key → index. Re-putting the same pair is a
 // no-op; rebinding an existing key to a different index is an error —

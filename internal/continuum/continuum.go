@@ -32,7 +32,7 @@
 //
 // A Field bound to an initial state (Field.System) implements sim.System,
 // so continuum relaxation studies route through the same unified runtime
-// as the discrete models: SolveStream drives the shared accumulator
+// as the discrete models: sim.RunStream drives the shared accumulator
 // sinks, and the sweep/archive machinery works over continuum points
 // unchanged.
 package continuum
@@ -134,7 +134,7 @@ type Result struct {
 }
 
 // FieldSystem is a Field bound to an initial state — the sim.System view
-// of the continuum model that Solve, SolveStream, and the scenario
+// of the continuum model that Solve, sim.RunStream, and the scenario
 // registry integrate through the unified runtime. It owns its coupling
 // kernel and scratch, so several systems built from one Field may run
 // concurrently; a single FieldSystem is not safe for concurrent use.
@@ -256,20 +256,6 @@ func (f *Field) Solve(theta0 []float64, tEnd float64, nSamples int) (*Result, er
 		return nil, fmt.Errorf("continuum: %w", err)
 	}
 	return &Result{Grid: f.Grid, Ts: res.Ts, Theta: res.Ys, Stats: res.Stats}, nil
-}
-
-// SolveStream integrates like Solve but emits the sample rows to sink
-// instead of materializing them — the constant-memory path continuum
-// relaxation sweeps pair with the shared accumulator sinks.
-func (f *Field) SolveStream(theta0 []float64, tEnd float64, nSamples int, sink sim.Sink) (ode.Stats, error) {
-	sys, err := f.System(theta0)
-	if err != nil {
-		return ode.Stats{}, err
-	}
-	if tEnd <= 0 {
-		return ode.Stats{}, errors.New("continuum: tEnd must be positive")
-	}
-	return sim.RunStream(sys, tEnd, nSamples, sink)
 }
 
 // Lag returns ω̄·t − θ(x, t) at sample k for the constant-ω case: the

@@ -239,11 +239,22 @@ func TestValidationRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestSolveStreamMatchesSolve pins the unified-runtime port: the rows
+// runStream streams f's rows from theta0 into sink through the shared
+// runtime.
+func runStream(f *Field, theta0 []float64, tEnd float64, nSamples int, sink sim.Sink) error {
+	sys, err := f.System(theta0)
+	if err != nil {
+		return err
+	}
+	_, err = sim.RunStream(sys, tEnd, nSamples, sink)
+	return err
+}
+
+// TestRunStreamMatchesSolve pins the unified-runtime port: the rows
 // streamed through sim.RunStream are bit-for-bit the rows Solve
 // materializes, and the shared SpreadAccumulator timeline reproduces
 // SpreadTimeline exactly.
-func TestSolveStreamMatchesSolve(t *testing.T) {
+func TestRunStreamMatchesSolve(t *testing.T) {
 	g := Grid{M: 24, A: 1, Periodic: true}
 	f := Field{Grid: g, Potential: potential.Tanh{}, K: 2, Linear: true}
 	theta0 := make([]float64, g.M)
@@ -256,7 +267,7 @@ func TestSolveStreamMatchesSolve(t *testing.T) {
 	}
 	spread := &sim.SpreadAccumulator{KeepTimeline: true}
 	k := 0
-	_, err = f.SolveStream(theta0, 12, 25, sim.Tee(spread, sim.SinkFunc(func(tt float64, y []float64) {
+	err = runStream(&f, theta0, 12, 25, sim.Tee(spread, sim.SinkFunc(func(tt float64, y []float64) {
 		if math.Float64bits(tt) != math.Float64bits(res.Ts[k]) {
 			t.Fatalf("sample %d time %v differs from materialized %v", k, tt, res.Ts[k])
 		}

@@ -44,7 +44,7 @@ func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 	}
 
 	tracker := &FrontTracker{Grid: f.Grid, Eps: eps}
-	if _, err := f.SolveStream(theta0, tEnd, nSamples, tracker); err != nil {
+	if err := runStream(f, theta0, tEnd, nSamples, tracker); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tracker.Finish()
@@ -86,7 +86,7 @@ func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 func TestFrontTrackerFlatField(t *testing.T) {
 	f := &Field{Grid: Grid{M: 16, A: 1}, Potential: potential.Tanh{}, K: 1}
 	tracker := &FrontTracker{Grid: f.Grid}
-	if _, err := f.SolveStream(make([]float64, 16), 5, 21, tracker); err != nil {
+	if err := runStream(f, make([]float64, 16), 5, 21, tracker); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tracker.Finish(); err == nil {
@@ -182,7 +182,7 @@ func TestFrontTrackerMatchesRowsPOM(t *testing.T) {
 func TestFrontTrackerZeroValueAdoptsUnitGrid(t *testing.T) {
 	f, theta0 := frontField()
 	tracker := &FrontTracker{}
-	if _, err := f.SolveStream(theta0, 10, 41, tracker); err != nil {
+	if err := runStream(f, theta0, 10, 41, tracker); err != nil {
 		t.Fatal(err)
 	}
 	if tracker.Grid.M != 64 || tracker.Grid.A != 1 {

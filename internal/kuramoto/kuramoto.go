@@ -89,9 +89,6 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Omegas returns the drawn natural frequencies.
-func (m *Model) Omegas() []float64 { return m.omegas }
-
 // CriticalCoupling returns Kuramoto's mean-field onset of synchrony for
 // the Gaussian frequency distribution, centred on its mean so that its
 // peak density is g(0) = 1/(σ√(2π)):

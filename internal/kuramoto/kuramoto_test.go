@@ -19,8 +19,8 @@ func TestNewValidation(t *testing.T) {
 func TestDeterministicDraws(t *testing.T) {
 	a, _ := New(Config{N: 10, FreqStd: 1, Seed: 3})
 	b, _ := New(Config{N: 10, FreqStd: 1, Seed: 3})
-	for i := range a.Omegas() {
-		if a.Omegas()[i] != b.Omegas()[i] {
+	for i := range a.omegas {
+		if a.omegas[i] != b.omegas[i] {
 			t.Fatal("same seed gave different frequencies")
 		}
 	}

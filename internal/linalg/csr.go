@@ -128,15 +128,6 @@ func (m *CSR) MulVec(dst, x []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// ToDense expands the matrix; intended for tests and small topologies.
-func (m *CSR) ToDense() *Dense {
-	d := NewDense(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		m.Row(i, func(j int, v float64) { d.Set(i, j, v) })
-	}
-	return d
-}
-
 // IsSymmetric reports whether M equals Mᵀ within tol. Communication
 // topologies with matched send/recv pairs are symmetric.
 func (m *CSR) IsSymmetric(tol float64) bool {

@@ -87,17 +87,6 @@ func (m *Dense) MulVec(dst, x []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// Transpose returns a new transposed matrix.
-func (m *Dense) Transpose() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // IsSymmetric reports whether the matrix equals its transpose to within
 // tol. Non-square matrices are never symmetric.
 func (m *Dense) IsSymmetric(tol float64) bool {
@@ -121,20 +110,6 @@ func (m *Dense) Frobenius() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// RowSums returns the vector of row sums; for a 0/1 topology matrix this is
-// the out-degree of each oscillator.
-func (m *Dense) RowSums() []float64 {
-	out := make([]float64, m.rows)
-	for i := range out {
-		var s float64
-		for _, v := range m.Row(i) {
-			s += v
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // NNZ counts entries with |v| > tol.

@@ -210,12 +210,6 @@ func (d Delay) at(lo, n int, t float64) int {
 	return -1
 }
 
-// LostPhase returns the phase the delayed oscillator loses relative to an
-// undisturbed one with base period P: Duration·2π·(1/P − 1/(P+Extra)).
-func (d Delay) LostPhase(period float64) float64 {
-	return d.Duration * 2 * math.Pi * (1/period - 1/(period+d.Extra))
-}
-
 // Sum composes several local noise processes additively.
 type Sum []Local
 

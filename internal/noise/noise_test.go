@@ -129,22 +129,6 @@ func TestDelayWindow(t *testing.T) {
 	}
 }
 
-func TestDelayLostPhase(t *testing.T) {
-	// Extra → ∞ limit: the oscillator is frozen for Duration, losing
-	// Duration·2π/P of phase.
-	d := Delay{Rank: 0, Start: 0, Duration: 3, Extra: 1e12}
-	period := 2.0
-	want := 3.0 * 2 * math.Pi / period
-	if got := d.LostPhase(period); math.Abs(got-want) > 1e-6 {
-		t.Errorf("LostPhase = %v, want %v", got, want)
-	}
-	// Extra = 0 loses nothing.
-	d0 := Delay{Duration: 3, Extra: 0}
-	if d0.LostPhase(period) != 0 {
-		t.Error("zero Extra must lose no phase")
-	}
-}
-
 func TestSumComposes(t *testing.T) {
 	s := Sum{
 		Imbalance{Extra: map[int]float64{1: 0.5}},

@@ -31,14 +31,11 @@ type History struct {
 }
 
 // NewHistory creates a history starting at t0 with the given prehistory
-// (used for t <= t0). A nil prehistory holds the initial state constant;
-// it must be set before the first Eval via SetPrehistory or Push.
+// (used for t <= t0). A nil prehistory holds the first pushed segment's
+// state at t0, so a segment must be pushed before the first Eval.
 func NewHistory(t0 float64, prehistory func(j int, t float64) float64) *History {
 	return &History{t0: t0, pre: prehistory}
 }
-
-// SetPrehistory replaces the prehistory function.
-func (h *History) SetPrehistory(pre func(j int, t float64) float64) { h.pre = pre }
 
 // Push appends an accepted dense segment. Segments must be contiguous and
 // increasing in time.

@@ -95,7 +95,7 @@ func TestSolveDDEZeroDelayMatchesODE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Last()[0], math.Exp(-3); math.Abs(got-want) > 1e-4 {
+	if got, want := last(&res.Solution)[0], math.Exp(-3); math.Abs(got-want) > 1e-4 {
 		t.Errorf("zero-delay DDE y(3) = %v, want %v", got, want)
 	}
 }
@@ -111,7 +111,7 @@ func TestSolveDDEPrehistoryDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// y' = 3 constant → y(2) = 3 + 6 = 9.
-	if got := res.Last()[0]; math.Abs(got-9) > 1e-7 {
+	if got := last(&res.Solution)[0]; math.Abs(got-9) > 1e-7 {
 		t.Errorf("y(2) = %v, want 9", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestSolveDDEMaxDelayCompaction(t *testing.T) {
 	}
 	// Solution of y' = -y(t-1/2) oscillates with decaying amplitude; it
 	// must remain bounded and finite.
-	if got := res.Last()[0]; math.IsNaN(got) || math.Abs(got) > 1 {
+	if got := last(&res.Solution)[0]; math.IsNaN(got) || math.Abs(got) > 1 {
 		t.Errorf("long DDE run diverged: %v", got)
 	}
 }

@@ -1,6 +1,6 @@
 // Package ode implements the explicit initial-value-problem solvers used to
-// integrate the physical oscillator model: fixed-step Euler, Heun and
-// classic Runge–Kutta 4 methods, and an adaptive Dormand–Prince 5(4) pair
+// integrate the physical oscillator model: a fixed-step classic
+// Runge–Kutta 4 method, and an adaptive Dormand–Prince 5(4) pair
 // with dense output and PI step-size control — the same integrator family
 // as MATLAB's ode45, which the paper's artifact uses. A delay-differential
 // driver (dde.go) supports the model's interaction-noise delay term
@@ -24,61 +24,8 @@ type Solution struct {
 	Ys [][]float64
 }
 
-// Component extracts the time series of state component i.
-func (s *Solution) Component(i int) []float64 {
-	out := make([]float64, len(s.Ys))
-	for k, y := range s.Ys {
-		out[k] = y[i]
-	}
-	return out
-}
-
-// Last returns the final state, or nil for an empty solution.
-func (s *Solution) Last() []float64 {
-	if len(s.Ys) == 0 {
-		return nil
-	}
-	return s.Ys[len(s.Ys)-1]
-}
-
-// At linearly interpolates the solution at time t (clamped to the sampled
-// range). It is a convenience for analysis code; integration-grade accuracy
-// comes from dense output inside the adaptive solver.
-func (s *Solution) At(t float64, dst []float64) []float64 {
-	n := len(s.Ts)
-	if n == 0 {
-		return nil
-	}
-	dim := len(s.Ys[0])
-	if cap(dst) < dim {
-		dst = make([]float64, dim)
-	}
-	dst = dst[:dim]
-	switch {
-	case t <= s.Ts[0]:
-		copy(dst, s.Ys[0])
-	case t >= s.Ts[n-1]:
-		copy(dst, s.Ys[n-1])
-	default:
-		lo, hi := 0, n-1
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if s.Ts[mid] <= t {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		u := (t - s.Ts[lo]) / (s.Ts[hi] - s.Ts[lo])
-		for i := 0; i < dim; i++ {
-			dst[i] = s.Ys[lo][i] + u*(s.Ys[hi][i]-s.Ys[lo][i])
-		}
-	}
-	return dst
-}
-
-// Stepper advances a state by one fixed step of size h. Implementations are
-// the classic single-step explicit methods.
+// Stepper advances a state by one fixed step of size h with a
+// single-step explicit method.
 type Stepper interface {
 	// Step writes y(t+h) into ynew given y(t). y and ynew must not alias.
 	Step(f Func, t float64, y []float64, h float64, ynew []float64)
@@ -87,49 +34,6 @@ type Stepper interface {
 	// Name returns a short identifier.
 	Name() string
 }
-
-// Euler is the explicit first-order Euler method.
-type Euler struct{ k []float64 }
-
-// Step implements Stepper.
-func (e *Euler) Step(f Func, t float64, y []float64, h float64, ynew []float64) {
-	e.k = grow(e.k, len(y))
-	f(t, y, e.k)
-	for i := range y {
-		ynew[i] = y[i] + h*e.k[i]
-	}
-}
-
-// Order implements Stepper.
-func (e *Euler) Order() int { return 1 }
-
-// Name implements Stepper.
-func (e *Euler) Name() string { return "euler" }
-
-// Heun is the explicit two-stage second-order trapezoidal method.
-type Heun struct{ k1, k2, tmp []float64 }
-
-// Step implements Stepper.
-func (hn *Heun) Step(f Func, t float64, y []float64, h float64, ynew []float64) {
-	n := len(y)
-	hn.k1 = grow(hn.k1, n)
-	hn.k2 = grow(hn.k2, n)
-	hn.tmp = grow(hn.tmp, n)
-	f(t, y, hn.k1)
-	for i := 0; i < n; i++ {
-		hn.tmp[i] = y[i] + h*hn.k1[i]
-	}
-	f(t+h, hn.tmp, hn.k2)
-	for i := 0; i < n; i++ {
-		ynew[i] = y[i] + 0.5*h*(hn.k1[i]+hn.k2[i])
-	}
-}
-
-// Order implements Stepper.
-func (hn *Heun) Order() int { return 2 }
-
-// Name implements Stepper.
-func (hn *Heun) Name() string { return "heun" }
 
 // RK4 is the classic four-stage fourth-order Runge–Kutta method.
 type RK4 struct{ k1, k2, k3, k4, tmp []float64 }

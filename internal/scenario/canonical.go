@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -77,15 +76,4 @@ func CanonicalHash(s *Spec) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// CanonicalHashJSON parses a raw spec JSON document and returns its
-// canonical hash. Malformed or invalid documents return an error,
-// never a panic — the contract FuzzCanonicalSpec enforces.
-func CanonicalHashJSON(data []byte) (string, error) {
-	s, err := Load(bytes.NewReader(data))
-	if err != nil {
-		return "", err
-	}
-	return CanonicalHash(s)
 }

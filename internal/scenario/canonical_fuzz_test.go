@@ -23,24 +23,34 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
+// hashDoc loads a raw spec JSON document and returns its canonical hash.
+// Malformed or invalid documents return an error, never a panic.
+func hashDoc(data []byte) (string, error) {
+	s, err := Load(bytes.NewReader(data))
+	if err != nil {
+		return "", err
+	}
+	return CanonicalHash(s)
+}
+
 // checkCanonical is the fuzz property, shared with the seeds-only test
 // below so plain `go test` exercises every seed without the fuzzer.
 //
-//   - CanonicalHashJSON never panics, whatever the bytes;
+//   - loading and hashing never panics, whatever the bytes;
 //   - when a document hashes, a purely-whitespace rewrite of it hashes
 //     identically;
 //   - the canonical encoding is a fixed point: re-hashing the canonical
 //     bytes reproduces the hash (so the canonical form is itself a valid
 //     spec document, and hashing is stable under canonicalization).
 func checkCanonical(t *testing.T, data []byte) {
-	h1, err := CanonicalHashJSON(data)
+	h1, err := hashDoc(data)
 	if err != nil {
 		return // malformed or invalid: an error is the correct outcome
 	}
 
 	var buf bytes.Buffer
 	if err := json.Indent(&buf, data, " ", "\t"); err == nil {
-		h2, err := CanonicalHashJSON(buf.Bytes())
+		h2, err := hashDoc(buf.Bytes())
 		if err != nil {
 			t.Fatalf("indented rewrite stopped hashing: %v\ndoc: %s", err, data)
 		}
@@ -57,7 +67,7 @@ func checkCanonical(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("document hashed but CanonicalSpec failed: %v\ndoc: %s", err, data)
 	}
-	h3, err := CanonicalHashJSON(cb)
+	h3, err := hashDoc(cb)
 	if err != nil {
 		t.Fatalf("canonical bytes do not re-load: %v\ncanonical: %s", err, cb)
 	}

@@ -27,9 +27,9 @@ func readExample(t testing.TB, name string) []byte {
 
 func hashJSON(t *testing.T, data []byte) string {
 	t.Helper()
-	h, err := CanonicalHashJSON(data)
+	h, err := hashDoc(data)
 	if err != nil {
-		t.Fatalf("CanonicalHashJSON(%s): %v", data, err)
+		t.Fatalf("hashDoc(%s): %v", data, err)
 	}
 	return h
 }
@@ -120,8 +120,8 @@ func TestCanonicalHashErrors(t *testing.T) {
 		`{"n":-1}`,              // invalid pom config
 		`{"family":"kuramoto"}`, // missing section
 	} {
-		if h, err := CanonicalHashJSON([]byte(bad)); err == nil {
-			t.Errorf("CanonicalHashJSON(%q) = %s, want error", bad, h)
+		if h, err := hashDoc([]byte(bad)); err == nil {
+			t.Errorf("hashDoc(%q) = %s, want error", bad, h)
 		}
 	}
 }

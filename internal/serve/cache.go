@@ -21,7 +21,7 @@ type resultCache struct {
 
 	mu   sync.Mutex // serializes KeyDir access and shard-id allocation
 	keys *archive.KeyDir
-	next int // low-water mark for CreateAny probing
+	next int // low-water mark for CreateAnyWith probing
 }
 
 // openResultCache opens (or initializes) the cache rooted at dir.

@@ -97,7 +97,7 @@ func TestSinksSurviveBufferScribble(t *testing.T) {
 func TestRecordWriterSurvivesBufferScribble(t *testing.T) {
 	writeShard := func(dir string, scribble bool) []byte {
 		t.Helper()
-		w, err := archive.Create(dir, 0)
+		w, err := archive.CreateWith(dir, 0, archive.CodecDefault)
 		if err != nil {
 			t.Fatal(err)
 		}

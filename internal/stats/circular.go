@@ -58,8 +58,3 @@ func PhaseSpread(theta []float64) float64 {
 	}
 	return hi - lo
 }
-
-// AdjacentDiffs fills dst with θ_{i+1} − θ_i and returns it.
-func AdjacentDiffs(dst, theta []float64) []float64 {
-	return mathx.Diff(dst, theta)
-}

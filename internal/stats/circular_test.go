@@ -132,10 +132,3 @@ func TestPhaseSpread(t *testing.T) {
 		t.Errorf("single PhaseSpread = %v", got)
 	}
 }
-
-func TestAdjacentDiffs(t *testing.T) {
-	d := AdjacentDiffs(nil, []float64{0, 2, 3})
-	if len(d) != 2 || d[0] != 2 || d[1] != 1 {
-		t.Errorf("AdjacentDiffs = %v", d)
-	}
-}

@@ -143,21 +143,6 @@ func (r *RNG) Exponential(rate float64) float64 {
 	return -math.Log(1-u) / rate
 }
 
-// LogNormal returns exp(N(mu, sigma)).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.NormalMS(mu, sigma))
-}
-
-// Pareto returns a Pareto(alpha, xm) deviate; heavy-tailed noise used to
-// model rare long OS interruptions.
-func (r *RNG) Pareto(alpha, xm float64) float64 {
-	if alpha <= 0 || xm <= 0 {
-		panic("stats: Pareto needs alpha, xm > 0")
-	}
-	u := 1 - r.Float64() // (0, 1]
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Shuffle permutes the first n integers with Fisher–Yates and calls swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -161,24 +161,6 @@ func TestExponentialPanics(t *testing.T) {
 	NewRNG(1).Exponential(0)
 }
 
-func TestParetoSupport(t *testing.T) {
-	r := NewRNG(23)
-	for i := 0; i < 10000; i++ {
-		if x := r.Pareto(2, 1.5); x < 1.5 {
-			t.Fatalf("Pareto deviate %v below xm", x)
-		}
-	}
-}
-
-func TestLogNormalPositive(t *testing.T) {
-	r := NewRNG(29)
-	for i := 0; i < 10000; i++ {
-		if x := r.LogNormal(0, 1); x <= 0 {
-			t.Fatalf("LogNormal deviate %v not positive", x)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(31)
 	p := r.Perm(50)

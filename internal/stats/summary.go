@@ -79,59 +79,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return mathx.Lerp(sorted[lo], sorted[hi], pos-float64(lo))
 }
 
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Under and Over count samples outside [Lo, Hi).
-	Under, Over int
-}
-
-// NewHistogram bins xs into nbins equal-width bins over [lo, hi).
-func NewHistogram(xs []float64, lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins <= 0 || hi <= lo {
-		return nil, errors.New("stats: invalid histogram parameters")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			b := int((x - lo) / w)
-			if b >= nbins { // guard against rounding at the top edge
-				b = nbins - 1
-			}
-			h.Counts[b]++
-		}
-	}
-	return h, nil
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best, bestCount := 0, -1
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(best)+0.5)*w
-}
-
 // LinearFit holds the result of an ordinary least squares line fit
 // y ≈ Slope*x + Intercept.
 type LinearFit struct {
@@ -177,35 +124,4 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 		fit.StdErrSlope = math.Sqrt(ssRes / float64(n-2) / sxx)
 	}
 	return fit, nil
-}
-
-// AutoCorrelation returns the normalized autocorrelation of xs at the given
-// lags (lag 0 maps to 1). Used to detect periodic idle-wave echoes.
-func AutoCorrelation(xs []float64, maxLag int) ([]float64, error) {
-	n := len(xs)
-	if n == 0 {
-		return nil, ErrInsufficientData
-	}
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	mean := mathx.Mean(xs)
-	var denom float64
-	for _, x := range xs {
-		d := x - mean
-		denom += d * d
-	}
-	out := make([]float64, maxLag+1)
-	if denom == 0 {
-		out[0] = 1
-		return out, nil
-	}
-	for lag := 0; lag <= maxLag; lag++ {
-		var s float64
-		for i := 0; i+lag < n; i++ {
-			s += (xs[i] - mean) * (xs[i+lag] - mean)
-		}
-		out[lag] = s / denom
-	}
-	return out, nil
 }

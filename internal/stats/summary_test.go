@@ -79,39 +79,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 0.1, 0.5, 0.99, 1.0, 2.5}
-	h, err := NewHistogram(xs, 0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under=%d Over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 0.1
-		t.Errorf("bin 0 = %d", h.Counts[0])
-	}
-	if h.Counts[3] != 1 { // 0.99
-		t.Errorf("bin 3 = %d", h.Counts[3])
-	}
-}
-
-func TestHistogramModeAndErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 1, 0, 4); err == nil {
-		t.Error("want error for hi <= lo")
-	}
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("want error for nbins <= 0")
-	}
-	h, _ := NewHistogram([]float64{0.55, 0.6, 0.1}, 0, 1, 2)
-	if m := h.Mode(); math.Abs(m-0.75) > 1e-12 {
-		t.Errorf("Mode = %v, want 0.75", m)
-	}
-}
-
 func TestFitLineExact(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 2x + 1
@@ -160,39 +127,5 @@ func TestFitLineDegenerate(t *testing.T) {
 	}
 	if _, err := FitLine([]float64{1, 1}, []float64{2, 3}); err == nil {
 		t.Error("want error for vertical line")
-	}
-}
-
-func TestAutoCorrelation(t *testing.T) {
-	// Period-4 signal has autocorrelation 1 at lag 4.
-	xs := make([]float64, 64)
-	for i := range xs {
-		xs[i] = math.Sin(2 * math.Pi * float64(i) / 4)
-	}
-	ac, err := AutoCorrelation(xs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ac[0]-1) > 1e-12 {
-		t.Errorf("lag-0 autocorrelation = %v", ac[0])
-	}
-	if ac[4] < 0.85 {
-		t.Errorf("lag-4 autocorrelation = %v, want near 1", ac[4])
-	}
-	if ac[2] > -0.85 {
-		t.Errorf("lag-2 autocorrelation = %v, want near -1", ac[2])
-	}
-}
-
-func TestAutoCorrelationEdges(t *testing.T) {
-	if _, err := AutoCorrelation(nil, 3); err == nil {
-		t.Error("want error on empty input")
-	}
-	ac, err := AutoCorrelation([]float64{5, 5, 5}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ac[0] != 1 {
-		t.Error("constant signal lag-0 must be 1 by convention")
 	}
 }

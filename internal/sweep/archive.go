@@ -125,7 +125,7 @@ type ArchiveRun struct {
 // Run executes the configured archive sweep. Semantics match
 // RunArchive, restricted to [Lo, Hi): TTL-gated tmp cleanup, resume by
 // index scan, per-worker shards claimed collision-tolerantly
-// (archive.CreateAny), deterministic error reporting, and — under
+// (archive.CreateAnyWith), deterministic error reporting, and — under
 // fault injection — a simulated crash abandons the worker's shard
 // exactly as a killed process would: no rollback, no seal, litter left
 // in place.

@@ -25,7 +25,7 @@
 // panic-guarded (a panicking point becomes a per-point error instead of
 // a deadlock), the first genuine error cancels outstanding work
 // deterministically (cancellation echoes never win the race), and an
-// externally canceled sweep returns plain ctx.Err(). Grid1 / Grid2
-// build the usual parameter grids. PERFORMANCE.md quantifies the memory
+// externally canceled sweep returns plain ctx.Err(). Grid1 builds
+// the usual 1-D parameter grid. PERFORMANCE.md quantifies the memory
 // and throughput trade-offs of the three modes.
 package sweep

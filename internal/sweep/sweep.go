@@ -252,17 +252,3 @@ func Grid1(lo, hi float64, n int) []float64 {
 	out[n-1] = hi
 	return out
 }
-
-// Pair is a 2-D grid point.
-type Pair struct{ A, B float64 }
-
-// Grid2 builds the cross product of two 1-D grids in row-major order.
-func Grid2(as, bs []float64) []Pair {
-	out := make([]Pair, 0, len(as)*len(bs))
-	for _, a := range as {
-		for _, b := range bs {
-			out = append(out, Pair{A: a, B: b})
-		}
-	}
-	return out
-}

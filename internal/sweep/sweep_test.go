@@ -288,16 +288,6 @@ func TestGrid1(t *testing.T) {
 	}
 }
 
-func TestGrid2(t *testing.T) {
-	g := Grid2([]float64{1, 2}, []float64{10, 20, 30})
-	if len(g) != 6 {
-		t.Fatalf("len = %d", len(g))
-	}
-	if g[0] != (Pair{1, 10}) || g[5] != (Pair{2, 30}) {
-		t.Errorf("grid order wrong: %v", g)
-	}
-}
-
 // TestParallelSigmaSweep runs a real model sweep in parallel and checks
 // the settled gaps still track 2σ/3 — the concurrency does not perturb
 // determinism because each point owns its model.

@@ -316,17 +316,6 @@ type FlatNeighbors struct {
 // NNZ returns the total number of directed communication edges.
 func (f FlatNeighbors) NNZ() int { return len(f.Cols) }
 
-// MaxDegree returns the largest partner count of any rank.
-func (f FlatNeighbors) MaxDegree() int {
-	m := 0
-	for i := 0; i+1 < len(f.RowPtr); i++ {
-		if d := int(f.RowPtr[i+1] - f.RowPtr[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Flat returns the packed CSR neighbor representation of the topology.
 // Constructor-built topologies carry it precomputed; for hand-assembled
 // Topology values it is derived on the fly without mutating the receiver,

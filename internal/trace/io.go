@@ -3,9 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/csv"
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -57,91 +55,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a trace written by WriteCSV. The rank count is inferred
-// from the data.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV")
-	}
-	maxRank := -1
-	for _, row := range rows[1:] {
-		rank, err := strconv.Atoi(row[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad rank %q: %w", row[1], err)
-		}
-		if rank < 0 {
-			return nil, fmt.Errorf("trace: negative rank %d", rank)
-		}
-		if rank > maxRank {
-			maxRank = rank
-		}
-	}
-	if maxRank < 0 {
-		return nil, fmt.Errorf("trace: no records")
-	}
-	t := NewTrace(maxRank + 1)
-	type iterMark struct {
-		k  int
-		ts float64
-	}
-	iters := make([][]iterMark, maxRank+1)
-	for i, row := range rows[1:] {
-		rank, _ := strconv.Atoi(row[1])
-		switch row[0] {
-		case "span":
-			var kind SpanKind
-			switch row[2] {
-			case "compute":
-				kind = SpanCompute
-			case "comm":
-				kind = SpanComm
-			default:
-				return nil, fmt.Errorf("trace: row %d: unknown kind %q", i+2, row[2])
-			}
-			start, err1 := strconv.ParseFloat(row[3], 64)
-			end, err2 := strconv.ParseFloat(row[4], 64)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("trace: row %d: bad span times", i+2)
-			}
-			t.Spans[rank] = append(t.Spans[rank], Span{Kind: kind, Start: start, End: end})
-			if end > t.End {
-				t.End = end
-			}
-		case "iter":
-			k, err1 := strconv.Atoi(row[2])
-			ts, err2 := strconv.ParseFloat(row[3], 64)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("trace: row %d: bad iter mark", i+2)
-			}
-			iters[rank] = append(iters[rank], iterMark{k: k, ts: ts})
-			if ts > t.End {
-				t.End = ts
-			}
-		default:
-			return nil, fmt.Errorf("trace: row %d: unknown record %q", i+2, row[0])
-		}
-	}
-	for r, marks := range iters {
-		sort.Slice(marks, func(a, b int) bool { return marks[a].k < marks[b].k })
-		for _, m := range marks {
-			t.IterEnds[r] = append(t.IterEnds[r], m.ts)
-		}
-	}
-	for r := range t.Spans {
-		sort.SliceStable(t.Spans[r], func(a, b int) bool {
-			return t.Spans[r][a].Start < t.Spans[r][b].Start
-		})
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -153,17 +153,6 @@ func (t *Trace) CommFractions() []float64 {
 	return out
 }
 
-// StateAt returns rank r's state at time ts, defaulting to SpanComm
-// (waiting) in gaps.
-func (t *Trace) StateAt(r int, ts float64) SpanKind {
-	spans := t.Spans[r]
-	idx := sort.Search(len(spans), func(i int) bool { return spans[i].End > ts })
-	if idx < len(spans) && spans[idx].Start <= ts {
-		return spans[idx].Kind
-	}
-	return SpanComm
-}
-
 // Progress returns rank r's continuous iteration progress at time ts:
 // the number of completed iterations, linearly interpolated inside the
 // current iteration. This is the trace-side analogue of the oscillator

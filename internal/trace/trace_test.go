@@ -58,21 +58,6 @@ func TestTimeInStateAndFractions(t *testing.T) {
 	}
 }
 
-func TestStateAt(t *testing.T) {
-	tr := NewTrace(1)
-	tr.Record(0, SpanCompute, 0, 1)
-	tr.Record(0, SpanComm, 1, 2)
-	if tr.StateAt(0, 0.5) != SpanCompute {
-		t.Error("StateAt(0.5)")
-	}
-	if tr.StateAt(0, 1.5) != SpanComm {
-		t.Error("StateAt(1.5)")
-	}
-	if tr.StateAt(0, 99) != SpanComm {
-		t.Error("gap should default to comm")
-	}
-}
-
 func TestProgressInterpolation(t *testing.T) {
 	tr := NewTrace(1)
 	tr.MarkIterEnd(0, 1)
