@@ -1,6 +1,7 @@
 // Package repro_test is the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (experiments E1–E7, see
-// DESIGN.md) under testing.B, plus the ablations DESIGN.md calls out.
+// table and figure of the paper's evaluation (experiments E1–E9, see the
+// experiment index in the internal/experiments package doc) under
+// testing.B, plus ablations of the model's design choices.
 // Custom metrics report the headline physical quantities next to the
 // runtime cost, so `go test -bench=. -benchmem` doubles as the
 // reproduction run.

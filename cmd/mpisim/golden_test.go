@@ -46,6 +46,8 @@ var goldenCases = []goldenCase{
 	{name: "schoenauer-delay", args: []string{"-kernel", "schoenauer", "-n", "30", "-delay-rank", "10", "-delay-iter", "20", "-iters", "200"}},
 	{name: "periodic-delay", args: []string{"-n", "24", "-periodic", "-delay-rank", "0", "-iters", "200"}},
 	{name: "noise-delay", args: []string{"-n", "40", "-delay-rank", "5", "-noise", "0.1"}},
+	{name: "delay-iter-out-of-range-error", args: []string{"-n", "10", "-delay-rank", "3", "-delay-iter", "500", "-iters", "400"}, wantErr: true},
+	{name: "delay-iter-negative-error", args: []string{"-n", "10", "-delay-rank", "3", "-delay-iter", "-1"}, wantErr: true},
 	{name: "supermuc-rendezvous", args: []string{"-machine", "supermuc-ng", "-n", "48", "-delay-rank", "5", "-msg", "1048576", "-iters", "200"}},
 }
 

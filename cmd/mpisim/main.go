@@ -39,7 +39,7 @@ func main() {
 		msgBytes   = flag.Float64("msg", 1024, "message size in bytes (≤16384 eager)")
 		machine    = flag.String("machine", "meggie", "machine model: meggie | supermuc-ng")
 		delayRank  = flag.Int("delay-rank", -1, "rank receiving a one-off delay (-1 = none)")
-		delayIter  = flag.Int("delay-iter", 50, "iteration of the delay")
+		delayIter  = flag.Int("delay-iter", 50, "zero-based iteration of the delay, below -iters")
 		delayIters = flag.Float64("delay-len", 10, "delay length in iteration equivalents")
 		noiseAmp   = flag.Float64("noise", 0, "deterministic per-iteration compute noise amplitude (fraction of sweep)")
 		svgDir     = flag.String("svg", "", "directory for the Gantt SVG (empty = none)")

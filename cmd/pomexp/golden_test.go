@@ -42,6 +42,8 @@ type goldenCase struct {
 var goldenCases = []goldenCase{
 	{name: "all", args: []string{"-out", "$TMP/out"}},
 	{name: "only-e1", args: []string{"-out", "$TMP/out", "-only", "e1"}},
+	{name: "only-e4", args: []string{"-out", "$TMP/out", "-only", "e4"}},
+	{name: "only-unknown-error", args: []string{"-out", "$TMP/out", "-only", "bogus"}, wantErr: true},
 }
 
 // TestGolden pins pomexp's stdout, plus the SHA-256 of SUMMARY.md and of

@@ -1,6 +1,7 @@
 // Command pomexp regenerates every table and figure of the paper's
-// evaluation (experiments E1–E7 of DESIGN.md), prints the result tables,
-// and writes SVG figures plus a machine-readable summary into -out.
+// evaluation (experiments E1–E9 of the experiment index in the
+// internal/experiments package doc), prints the result tables, and
+// writes SVG figures plus a machine-readable summary into -out.
 package main
 
 import (
@@ -9,6 +10,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -16,38 +18,50 @@ import (
 	"repro/internal/viz"
 )
 
+// experiment is one pomexp run. ids are the -only names that select it:
+// E3 and E4 share one run over the Fig. 2 grid.
+type experiment struct {
+	ids []string
+	run func(dir string, rep *strings.Builder) error
+}
+
+var experimentList = []experiment{
+	{[]string{"e1"}, runE1},
+	{[]string{"e2"}, runE2},
+	{[]string{"e3", "e4"}, runE34},
+	{[]string{"e5"}, runE5},
+	{[]string{"e6"}, runE6},
+	{[]string{"e7"}, runE7},
+	{[]string{"e8"}, runE8},
+	{[]string{"e9"}, runE9},
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pomexp: ")
 	outDir := flag.String("out", "out", "output directory for SVGs and summary")
-	only := flag.String("only", "", "run a single experiment: e1…e7 (empty = all)")
+	only := flag.String("only", "", "run a single experiment: e1…e9, where e3 and e4 share one run (empty = all)")
 	flag.Parse()
 
+	selected := func(e experiment) bool { return *only == "" || slices.Contains(e.ids, *only) }
+	if !slices.ContainsFunc(experimentList, selected) {
+		log.Fatalf("-only %q names no experiment; want one of e1…e9", *only)
+	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
 	var report strings.Builder
 	report.WriteString("# pomexp results\n\n")
-
-	run := func(id string, fn func(dir string, rep *strings.Builder) error) {
-		if *only != "" && *only != id {
-			return
+	for _, e := range experimentList {
+		if !selected(e) {
+			continue
 		}
-		fmt.Printf("=== %s ===\n", strings.ToUpper(id))
-		if err := fn(*outDir, &report); err != nil {
-			log.Fatalf("%s: %v", id, err)
+		fmt.Printf("=== %s ===\n", strings.ToUpper(e.ids[0]))
+		if err := e.run(*outDir, &report); err != nil {
+			log.Fatalf("%s: %v", e.ids[0], err)
 		}
 		fmt.Println()
 	}
-
-	run("e1", runE1)
-	run("e2", runE2)
-	run("e3", runE34) // E3+E4 share the Fig. 2 grid
-	run("e5", runE5)
-	run("e6", runE6)
-	run("e7", runE7)
-	run("e8", runE8)
-	run("e9", runE9)
 
 	summary := filepath.Join(*outDir, "SUMMARY.md")
 	if err := os.WriteFile(summary, []byte(report.String()), 0o644); err != nil {

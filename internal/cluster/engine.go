@@ -283,6 +283,9 @@ func NewSim(mc MachineConfig, progs []Program, opts Options) (*Sim, error) {
 		if d.Rank < 0 || d.Rank >= n {
 			return nil, fmt.Errorf("cluster: delay rank %d out of range", d.Rank)
 		}
+		if iters := progs[d.Rank].Iters; d.Iter < 0 || d.Iter >= iters {
+			return nil, fmt.Errorf("cluster: delay iteration %d out of range [0, %d)", d.Iter, iters)
+		}
 		s.delays[[2]int{d.Rank, d.Iter}] += d.Extra
 	}
 	s.ranks = make([]*rankState, n)

@@ -44,6 +44,12 @@ func TestValidation(t *testing.T) {
 		Options{Delays: []DelayInjection{{Rank: 5}}}); err == nil {
 		t.Error("want delay rank range error")
 	}
+	for _, iter := range []int{-1, 3} {
+		if _, err := NewSim(mc, []Program{{Body: []Instr{Compute{Seconds: 1}}, Iters: 3}},
+			Options{Delays: []DelayInjection{{Rank: 0, Iter: iter}}}); err == nil {
+			t.Errorf("delay iteration %d of 3: want range error", iter)
+		}
+	}
 }
 
 func TestSingleRankComputeOnly(t *testing.T) {

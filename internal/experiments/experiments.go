@@ -1,15 +1,19 @@
 // Package experiments contains one driver per figure and quantitative
-// claim of the paper's evaluation (see DESIGN.md's experiment index).
-// Every driver returns structured rows/series that the pomexp command
-// prints and plots and that bench_test.go regenerates under testing.B.
+// claim of the paper's evaluation. Every driver returns structured
+// rows/series that the pomexp command prints and plots and that
+// bench_test.go regenerates under testing.B. This is the experiment
+// index, in the order pomexp runs it (pomexp -only e1…e9; E3 and E4
+// share one Fig2All run over the Fig. 2 grid):
 //
-//	E1  Fig. 1(a)  potential shapes
-//	E2  Fig. 1(b)  socket scalability of the three kernels
-//	E3  Fig. 2(a,c) scalable code: idle wave, decay, resynchronization
-//	E4  Fig. 2(b,d) bottlenecked code: idle wave + computational wavefront
-//	E5  §5.1.1     idle-wave speed vs. coupling βκ
-//	E6  §5.2.2     stiffness: 3× speed, reduced phase spread, 2σ/3 gaps
-//	E7  §2.2.2     plain-Kuramoto baseline (why KM is unsuitable)
+//	E1  Fig. 1(a)    Fig1aPotentials      potential shapes
+//	E2  Fig. 1(b)    Fig1bScalability     socket scalability of the three kernels
+//	E3  Fig. 2(a,c)  Fig2All              scalable code: idle wave, decay, resynchronization
+//	E4  Fig. 2(b,d)  Fig2All              bottlenecked code: idle wave + computational wavefront
+//	E5  §5.1.1       WaveSpeedVsCoupling  idle-wave speed vs. coupling βκ
+//	E6  §5.2.2       StiffnessSweep       stiffness: 3× speed, reduced phase spread, 2σ/3 gaps
+//	E7  §2.2.2       KuramotoBaseline     plain-Kuramoto baseline (why KM is unsuitable)
+//	E8  §6           NoiseDecay           idle-wave decay under noise (the open question)
+//	E9  §2.2.2       CollectiveBarrier    collectives as synchronizing barriers (trace side)
 package experiments
 
 import (
