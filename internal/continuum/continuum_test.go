@@ -250,11 +250,11 @@ func runStream(f *Field, theta0 []float64, tEnd float64, nSamples int, sink sim.
 	return err
 }
 
-// TestRunStreamMatchesSolve pins the unified-runtime port: the rows
+// TestSolveStreamMatchesSolve pins the unified-runtime port: the rows
 // streamed through sim.RunStream are bit-for-bit the rows Solve
 // materializes, and the shared SpreadAccumulator timeline reproduces
 // SpreadTimeline exactly.
-func TestRunStreamMatchesSolve(t *testing.T) {
+func TestSolveStreamMatchesSolve(t *testing.T) {
 	g := Grid{M: 24, A: 1, Periodic: true}
 	f := Field{Grid: g, Potential: potential.Tanh{}, K: 2, Linear: true}
 	theta0 := make([]float64, g.M)
