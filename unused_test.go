@@ -44,6 +44,11 @@ func TestNoUnusedExports(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pkg := range pkgs {
+			for _, obj := range pkg.Info.Uses {
+				if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Parent() == fn.Pkg().Scope() {
+					used[fn.Pkg().Path()+"."+fn.Name()] = true
+				}
+			}
 			if exemptPackages[pkg.Path] != "" {
 				continue
 			}
@@ -51,13 +56,6 @@ func TestNoUnusedExports(t *testing.T) {
 			for _, name := range scope.Names() {
 				if fn, ok := scope.Lookup(name).(*types.Func); ok && fn.Exported() {
 					declared[pkg.Path+"."+name] = true
-				}
-			}
-		}
-		for _, pkg := range pkgs {
-			for _, obj := range pkg.Info.Uses {
-				if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Parent() == fn.Pkg().Scope() {
-					used[fn.Pkg().Path()+"."+fn.Name()] = true
 				}
 			}
 		}
