@@ -48,6 +48,7 @@ var goldenCases = []goldenCase{
 	{name: "noise-delay", args: []string{"-n", "40", "-delay-rank", "5", "-noise", "0.1"}},
 	{name: "delay-iter-out-of-range-error", args: []string{"-n", "10", "-delay-rank", "3", "-delay-iter", "500", "-iters", "400"}, wantErr: true},
 	{name: "delay-iter-negative-error", args: []string{"-n", "10", "-delay-rank", "3", "-delay-iter", "-1"}, wantErr: true},
+	{name: "delay-iter-zero", args: []string{"-n", "10", "-delay-rank", "3", "-delay-iter", "0", "-iters", "100"}},
 	{name: "supermuc-rendezvous", args: []string{"-machine", "supermuc-ng", "-n", "48", "-delay-rank", "5", "-msg", "1048576", "-iters", "200"}},
 }
 

@@ -110,9 +110,14 @@ func main() {
 		}
 	}
 
-	if *delayRank >= 0 && *delayIter > 0 {
+	if *delayRank >= 0 {
 		iterDur := tr.MeanIterationTime(0)
-		tDelay := tr.IterEnds[*delayRank][*delayIter-1]
+		// The delay hits when the delayed rank finishes the iteration
+		// before it, or at the start of the run for iteration 0.
+		tDelay := 0.0
+		if *delayIter > 0 {
+			tDelay = tr.IterEnds[*delayRank][*delayIter-1]
+		}
 		if wm, err := tr.MeasureIdleWave(*delayRank, tDelay, 0.5*iterDur, iterDur, *periodic); err == nil {
 			fmt.Printf("idle wave: %.3f ranks/iter (R²=%.2f, reached %d)\n",
 				wm.SpeedRanksPerIter, wm.R2, wm.Reached)

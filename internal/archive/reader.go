@@ -126,15 +126,6 @@ func (s *Shard) Version() int { return s.version }
 // Size returns the shard file size in bytes.
 func (s *Shard) Size() int64 { return s.size }
 
-// Indices returns the point indices stored in the shard, in write order.
-func (s *Shard) Indices() []uint64 {
-	out := make([]uint64, len(s.ents))
-	for k, e := range s.ents {
-		out[k] = e.index
-	}
-	return out
-}
-
 // ReadRaw returns the k-th record's CRC-verified payload bytes exactly
 // as stored: for POMARC2 that includes the leading codec byte and any
 // delta compression. Two same-codec archives hold bitwise-identical

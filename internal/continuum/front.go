@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -38,9 +39,8 @@ func frontPosition(g Grid, th []float64, eps float64) float64 {
 }
 
 // measureFront fits the detected front positions against time and fills
-// in the Front summary. It is the single fit implementation behind both
-// the materialized and the streaming paths, which is what makes the two
-// bitwise-identical.
+// in the Front summary: the single fit implementation, reached through
+// FrontTracker.Finish.
 func measureFront(ts, positions []float64) (Front, error) {
 	f := Front{Ts: ts, Positions: positions}
 	var xs, ys []float64
@@ -65,26 +65,6 @@ func measureFront(ts, positions []float64) (Front, error) {
 	return f, nil
 }
 
-// MeasureFrontRows measures the front over materialized sample rows on
-// the given grid: per row the rightmost steep forward pair (threshold
-// eps; 0 selects 0.15), then a position-vs-time line fit. It is the
-// reference implementation the streaming FrontTracker is pinned against
-// bitwise, and works for any phase field rows — a POM chain measures
-// through it with a unit-spacing grid.
-func MeasureFrontRows(g Grid, ts []float64, rows [][]float64, eps float64) (Front, error) {
-	if len(ts) != len(rows) {
-		return Front{}, errors.New("continuum: ts and rows length mismatch")
-	}
-	if eps <= 0 {
-		eps = 0.15
-	}
-	positions := make([]float64, len(rows))
-	for k, th := range rows {
-		positions[k] = frontPosition(g, th, eps)
-	}
-	return measureFront(append([]float64(nil), ts...), positions)
-}
-
 // FrontTimeline returns the per-sample front position of the result
 // (NaN where no gap exceeds eps; 0 selects 0.15).
 func (r *Result) FrontTimeline(eps float64) []float64 {
@@ -99,18 +79,25 @@ func (r *Result) FrontTimeline(eps float64) []float64 {
 }
 
 // MeasureFront measures the computational wavefront of a materialized
-// continuum result — see MeasureFrontRows.
+// continuum result: per sample the rightmost steep forward pair
+// (threshold eps; 0 selects 0.15), then a position-vs-time line fit. The
+// rows replay through FrontTracker, the metric's one implementation.
 func (r *Result) MeasureFront(eps float64) (Front, error) {
-	return MeasureFrontRows(r.Grid, r.Ts, r.Theta, eps)
+	if len(r.Ts) != len(r.Theta) {
+		return Front{}, errors.New("continuum: ts and rows length mismatch")
+	}
+	f := &FrontTracker{Grid: r.Grid, Eps: eps}
+	sim.Replay(f, r.Ts, r.Theta)
+	return f.Finish()
 }
 
-// FrontTracker measures the continuum wavefront online — the streaming
-// counterpart of Result.MeasureFront, analogous to core.WaveDetector:
-// each sample row is reduced to one front position as it streams by, so
-// no trajectory is ever materialized. Memory is O(nSamples) scalars
-// (two floats per sample), independent of the grid size M. Finish
-// returns the Front that MeasureFront computes on the materialized run,
-// bit for bit.
+// FrontTracker measures the continuum wavefront online, analogous to
+// core.WaveDetector: each sample row is reduced to one front position as
+// it streams by, so no trajectory is ever materialized. Memory is
+// O(nSamples) scalars (two floats per sample), independent of the grid
+// size M. It is the one implementation of the front metric:
+// Result.MeasureFront replays its rows through it, and the tests pin it
+// bit for bit to a trajectory-walking oracle on continuum and POM rows.
 //
 // The zero value tracks on a unit-spacing grid adopted from the stream
 // width at Begin — the right reading for discrete families (one rank
@@ -149,10 +136,10 @@ func (f *FrontTracker) Sample(t float64, theta []float64) {
 	f.pos = append(f.pos, frontPosition(f.Grid, theta, eps))
 }
 
-// Finish fits the accumulated front positions and returns the Front that
-// MeasureFrontRows computes on the materialized rows.
+// Finish fits the accumulated front positions. A stream whose width does
+// not match the grid is an error once any row of it was measured.
 func (f *FrontTracker) Finish() (Front, error) {
-	if f.width != f.Grid.M {
+	if len(f.ts) > 0 && f.width != f.Grid.M {
 		return Front{}, errors.New("continuum: stream width does not match tracker grid")
 	}
 	return measureFront(

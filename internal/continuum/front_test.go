@@ -28,8 +28,9 @@ func frontField() (*Field, []float64) {
 }
 
 // TestFrontTrackerMatchesMeasureFront is the bitwise pin of the
-// streaming tracker against the materialized reference on a continuum
-// run: same per-sample positions, same fit, bit for bit.
+// streaming tracker against the trajectory-walking MeasureFrontRows
+// oracle on a continuum run: same per-sample positions, same fit, bit
+// for bit.
 func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 	const tEnd, nSamples, eps = 30.0, 121, 0.15
 	f, theta0 := frontField()
@@ -38,7 +39,7 @@ func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := res.MeasureFront(eps)
+	want, err := MeasureFrontRows(res.Grid, res.Ts, res.Theta, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +120,8 @@ func frontPOMConfig(t *testing.T, dde bool, workers int) core.Config {
 
 // TestFrontTrackerMatchesRowsPOM pins the tracker across families and
 // solver paths: for a POM idle wave at Workers = 1 and 4, ODE and DDE,
-// the streamed Front equals MeasureFrontRows over the materialized rows
-// on the unit-spacing grid (one rank per lattice site).
+// the streamed Front equals the MeasureFrontRows oracle over the
+// materialized rows on the unit-spacing grid (one rank per lattice site).
 func TestFrontTrackerMatchesRowsPOM(t *testing.T) {
 	const tEnd, nSamples, eps = 60.0, 241, 0.15
 	for _, tc := range []struct {

@@ -1,0 +1,72 @@
+package continuum
+
+import (
+	"errors"
+	"math"
+	"testing"
+)
+
+// The trajectory-walking body of Result.MeasureFront, kept verbatim from
+// before the metric replayed its rows through FrontTracker. It shares
+// frontPosition and measureFront with the tracker, and the tracker is
+// pinned against it bit for bit.
+
+// MeasureFrontRows measures the front over materialized sample rows on
+// the given grid: per row the rightmost steep forward pair (threshold
+// eps; 0 selects 0.15), then a position-vs-time line fit. It is the
+// reference the streaming FrontTracker is pinned against bitwise, and
+// works for any phase field rows — a POM chain measures through it with
+// a unit-spacing grid.
+func MeasureFrontRows(g Grid, ts []float64, rows [][]float64, eps float64) (Front, error) {
+	if len(ts) != len(rows) {
+		return Front{}, errors.New("continuum: ts and rows length mismatch")
+	}
+	if eps <= 0 {
+		eps = 0.15
+	}
+	positions := make([]float64, len(rows))
+	for k, th := range rows {
+		positions[k] = frontPosition(g, th, eps)
+	}
+	return measureFront(append([]float64(nil), ts...), positions)
+}
+
+// TestResultMetricsMatchOracles compares MeasureFront, which replays its
+// rows through FrontTracker, with the trajectory-walking MeasureFrontRows
+// oracle bit for bit, error values included, for thresholds 0 (the 0.15
+// default), 0.15 and 1 on a developing front, one sample, no samples and
+// mismatched sample times.
+func TestResultMetricsMatchOracles(t *testing.T) {
+	f, theta0 := frontField()
+	run, err := f.Solve(theta0, 30, 121)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := map[string]*Result{
+		"front-run":      run,
+		"one-sample":     {Grid: run.Grid, Ts: run.Ts[:1], Theta: run.Theta[:1]},
+		"empty":          {Grid: run.Grid},
+		"ts-rows-differ": {Grid: run.Grid, Ts: run.Ts[:2], Theta: run.Theta[:1]},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, r := range results {
+		for _, eps := range []float64{0, 0.15, 1} {
+			got, gotErr := r.MeasureFront(eps)
+			want, wantErr := MeasureFrontRows(r.Grid, r.Ts, r.Theta, eps)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Errorf("%s eps=%v: error %v, oracle %v", name, eps, gotErr, wantErr)
+			}
+			if got.Detected != want.Detected || len(got.Ts) != len(want.Ts) || len(got.Positions) != len(want.Positions) ||
+				!same(got.Velocity, want.Velocity) || !same(got.Speed, want.Speed) || !same(got.R2, want.R2) {
+				t.Errorf("%s eps=%v: front %+v, oracle %+v", name, eps, got, want)
+				continue
+			}
+			for k := range want.Positions {
+				if !same(got.Ts[k], want.Ts[k]) || !same(got.Positions[k], want.Positions[k]) {
+					t.Errorf("%s eps=%v: sample %d (%v, %v), oracle (%v, %v)",
+						name, eps, k, got.Ts[k], got.Positions[k], want.Ts[k], want.Positions[k])
+				}
+			}
+		}
+	}
+}

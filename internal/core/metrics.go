@@ -2,8 +2,8 @@ package core
 
 import (
 	"errors"
-	"math"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -52,76 +52,39 @@ func (r *Result) AdjacentGapTimeline() [][]float64 {
 // ResyncTime returns the first sample time at which the phase spread drops
 // below eps and stays below it for the rest of the run, or an error when
 // the system never resynchronizes. This quantifies the paper's
-// "snaps back into a synchronized state" behaviour.
+// "snaps back into a synchronized state" behaviour. The rows replay
+// through sim.ResyncDetector, the metric's one implementation.
 func (r *Result) ResyncTime(eps float64) (float64, error) {
-	spread := r.SpreadTimeline()
-	idx := -1
-	for k := len(spread) - 1; k >= 0; k-- {
-		if spread[k] >= eps {
-			break
-		}
-		idx = k
-	}
-	if idx < 0 {
+	d := &sim.ResyncDetector{Eps: eps}
+	sim.Replay(d, r.Ts, r.Theta)
+	t, err := d.ResyncTime()
+	if err != nil {
 		return 0, errors.New("core: system did not resynchronize")
 	}
-	return r.Ts[idx], nil
+	return t, nil
 }
 
 // AsymptoticSpread returns the mean phase spread over the final fraction
 // (e.g. 0.2 for the last 20%) of the run: the settled desynchronization
-// level of the computational wavefront.
+// level of the computational wavefront. finalFraction 0 averages the final
+// sample alone. The rows replay through sim.SpreadAccumulator.
 func (r *Result) AsymptoticSpread(finalFraction float64) float64 {
-	n := len(r.Theta)
-	if n == 0 {
-		return 0
-	}
-	start := n - int(float64(n)*finalFraction)
-	if start < 0 {
-		start = 0
-	}
-	if start >= n {
-		start = n - 1
-	}
-	spread := r.SpreadTimeline()
-	var sum float64
-	for k := start; k < n; k++ {
-		sum += spread[k]
-	}
-	return sum / float64(n-start)
+	a := &sim.SpreadAccumulator{FinalFraction: sim.LiteralFraction(finalFraction)}
+	sim.Replay(a, r.Ts, r.Theta)
+	return a.Asymptotic()
 }
 
 // AsymptoticGaps returns the time-averaged adjacent gaps over the final
-// fraction of the run.
+// fraction of the run (the final sample alone for finalFraction 0), or nil
+// for a Result without samples. The rows replay through
+// sim.GapAccumulator.
 func (r *Result) AsymptoticGaps(finalFraction float64) []float64 {
-	n := len(r.Theta)
-	if n == 0 {
+	if len(r.Theta) == 0 {
 		return nil
 	}
-	start := n - int(float64(n)*finalFraction)
-	if start < 0 {
-		start = 0
-	}
-	if start >= n {
-		start = n - 1
-	}
-	// Derive the gap width from the sample rows themselves: a Result built
-	// by hand or by a streaming adapter may carry no Model.
-	width := len(r.Theta[0]) - 1
-	if width < 0 {
-		width = 0
-	}
-	gaps := make([]float64, width)
-	for k := start; k < n; k++ {
-		th := r.Theta[k]
-		for i := 1; i < len(th) && i-1 < len(gaps); i++ {
-			gaps[i-1] += th[i] - th[i-1]
-		}
-	}
-	for i := range gaps {
-		gaps[i] /= float64(n - start)
-	}
-	return gaps
+	a := &sim.GapAccumulator{FinalFraction: sim.LiteralFraction(finalFraction)}
+	sim.Replay(a, r.Ts, r.Theta)
+	return a.Gaps()
 }
 
 // WaveFront holds the measured propagation of a one-off delay through the
@@ -148,72 +111,15 @@ type WaveFront struct {
 // L_i(t) = ω·t − θ_i(t), is zero until the wave reaches it; the arrival
 // time is the first sample where L_i grows by more than threshold radians
 // over its pre-delay value. The front speed is the regression slope of
-// rank distance against arrival time. threshold 0 selects 0.15 rad.
+// rank distance against arrival time. threshold 0 selects 0.15 rad. The
+// rows replay through a WaveDetector, the metric's one implementation.
 func (r *Result) MeasureWave(origin int, delayStart float64, threshold float64) (WaveFront, error) {
-	n := r.Model.cfg.N
-	if origin < 0 || origin >= n {
-		return WaveFront{}, errors.New("core: wave origin out of range")
-	}
-	if threshold <= 0 {
-		threshold = 0.15
-	}
-	omega := r.Model.omega
-
-	// Baseline lag right before the delay hits.
-	k0 := 0
-	for k, t := range r.Ts {
-		if t >= delayStart {
-			break
-		}
-		k0 = k
-	}
-	base := make([]float64, n)
-	for i := 0; i < n; i++ {
-		base[i] = omega*r.Ts[k0] - r.Theta[k0][i]
-	}
-
-	wf := WaveFront{Origin: origin, ArrivalTime: make([]float64, n)}
-	for i := range wf.ArrivalTime {
-		wf.ArrivalTime[i] = math.NaN()
-	}
-	for i := 0; i < n; i++ {
-		for k := k0 + 1; k < len(r.Ts); k++ {
-			lag := omega*r.Ts[k] - r.Theta[k][i]
-			if lag-base[i] > threshold {
-				wf.ArrivalTime[i] = r.Ts[k]
-				break
-			}
-		}
-	}
-
-	var xs, ys []float64 // x: arrival time, y: distance from origin
-	for i := 0; i < n; i++ {
-		if math.IsNaN(wf.ArrivalTime[i]) || i == origin {
-			continue
-		}
-		d := i - origin
-		if d < 0 {
-			d = -d
-		}
-		// On a ring the wave can travel both ways; use the shorter arc.
-		if r.Model.cfg.Topology.Periodic && n-d < d {
-			d = n - d
-		}
-		xs = append(xs, wf.ArrivalTime[i])
-		ys = append(ys, float64(d))
-		wf.Reached++
-	}
-	if len(xs) < 3 {
-		return wf, errors.New("core: wave reached too few ranks to fit a speed")
-	}
-	fit, err := stats.FitLine(xs, ys)
+	w, err := NewWaveDetector(r.Model, origin, delayStart, threshold)
 	if err != nil {
-		return wf, err
+		return WaveFront{}, err
 	}
-	wf.Speed = math.Abs(fit.Slope)
-	wf.SpeedRanksPerPeriod = wf.Speed * r.Model.period
-	wf.R2 = fit.R2
-	return wf, nil
+	sim.Replay(w, r.Ts, r.Theta)
+	return w.Finish()
 }
 
 // FrequencyTimeline returns the numerically differentiated instantaneous
@@ -237,39 +143,11 @@ func (r *Result) FrequencyTimeline() [][]float64 {
 // FrequencyLocked reports whether all oscillators share the same mean
 // frequency over the final fraction of the run, to within tol (relative).
 // Both the resynchronized state and the computational wavefront are
-// frequency-locked; free-running noisy oscillators are not.
+// frequency-locked; free-running noisy oscillators are not. finalFraction
+// 0 takes the secant over the final two samples. The rows replay through
+// sim.LockAccumulator.
 func (r *Result) FrequencyLocked(finalFraction, tol float64) bool {
-	n := len(r.Ts)
-	if n < 3 {
-		return false
-	}
-	start := n - int(float64(n)*finalFraction)
-	if start < 0 {
-		start = 0
-	}
-	if start >= n-1 {
-		start = n - 2
-	}
-	dt := r.Ts[n-1] - r.Ts[start]
-	if dt <= 0 {
-		return false
-	}
-	freqs := make([]float64, r.Model.cfg.N)
-	for i := range freqs {
-		freqs[i] = (r.Theta[n-1][i] - r.Theta[start][i]) / dt
-	}
-	lo, hi := freqs[0], freqs[0]
-	for _, f := range freqs[1:] {
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
-	}
-	mid := (lo + hi) / 2
-	if mid == 0 {
-		return hi-lo == 0
-	}
-	return (hi-lo)/math.Abs(mid) <= tol
+	a := &sim.LockAccumulator{FinalFraction: sim.LiteralFraction(finalFraction)}
+	sim.Replay(a, r.Ts, r.Theta)
+	return a.Locked(tol)
 }

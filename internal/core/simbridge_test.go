@@ -21,10 +21,10 @@ var (
 )
 
 // TestLockAccumulatorMatchesFrequencyLocked pins the streaming
-// frequency-lock decision against the materialized
-// Result.FrequencyLocked over a locked run (imbalanced tanh chain) and
-// an unlocked one (drifting weakly coupled chain), across window
-// fractions and tolerances.
+// frequency-lock decision against the trajectory-walking FrequencyLocked
+// oracle over a locked run (imbalanced tanh chain) and an unlocked one
+// (drifting weakly coupled chain), across window fractions and
+// tolerances.
 func TestLockAccumulatorMatchesFrequencyLocked(t *testing.T) {
 	tp, err := topology.NextNeighbor(10, false)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestLockAccumulatorMatchesFrequencyLocked(t *testing.T) {
 				if _, err := sim.RunStream(m2, 120, 241, lock); err != nil {
 					t.Fatal(err)
 				}
-				want := res.FrequencyLocked(ff, tol)
+				want := oracleFrequencyLocked(res, ff, tol)
 				if got := lock.Locked(tol); got != want {
 					t.Errorf("%s ff=%v tol=%v: streamed lock = %v, materialized = %v",
 						name, ff, tol, got, want)

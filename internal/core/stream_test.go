@@ -38,8 +38,8 @@ func streamCase(t *testing.T, dde bool, workers int) Config {
 
 // TestRunStreamMatchesRun pins the streaming contract end to end: for both
 // the ODE and the DDE (interaction-noise) solver paths, serial and with a
-// worker pool, every accumulator output is bitwise identical to the metric
-// computed from the materialized Result.
+// worker pool, every accumulator output is bitwise identical to the
+// trajectory-walking oracle of the metric on the materialized Result.
 func TestRunStreamMatchesRun(t *testing.T) {
 	const (
 		tEnd     = 120.0
@@ -100,17 +100,17 @@ func TestRunStreamMatchesRun(t *testing.T) {
 					t.Fatalf("order[%d]: streamed %v, materialized %v", k, order.Timeline[k], wantOrder[k])
 				}
 			}
-			if got, want := spread.Asymptotic(), res.AsymptoticSpread(ff); got != want {
+			if got, want := spread.Asymptotic(), oracleAsymptoticSpread(res, ff); got != want {
 				t.Errorf("asymptotic spread: streamed %v, materialized %v", got, want)
 			}
 
-			wantRt, wantErr := res.ResyncTime(eps)
+			wantRt, wantErr := oracleResyncTime(res, eps)
 			gotRt, gotErr := resync.ResyncTime()
 			if (gotErr == nil) != (wantErr == nil) || gotRt != wantRt {
 				t.Errorf("resync: streamed (%v, %v), materialized (%v, %v)", gotRt, gotErr, wantRt, wantErr)
 			}
 
-			wantGaps := res.AsymptoticGaps(ff)
+			wantGaps := oracleAsymptoticGaps(res, ff)
 			gotGaps := gaps.Gaps()
 			if len(gotGaps) != len(wantGaps) {
 				t.Fatalf("gap width %d, want %d", len(gotGaps), len(wantGaps))
@@ -125,7 +125,8 @@ func TestRunStreamMatchesRun(t *testing.T) {
 }
 
 // TestWaveDetectorMatchesMeasureWave pins the streaming wave-front metric
-// against the materialized MeasureWave on the Fig. 2 delay scenario.
+// against the trajectory-walking MeasureWave oracle on the Fig. 2 delay
+// scenario.
 func TestWaveDetectorMatchesMeasureWave(t *testing.T) {
 	tp, err := topology.NextNeighbor(40, false)
 	if err != nil {
@@ -147,7 +148,7 @@ func TestWaveDetectorMatchesMeasureWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantErr := res.MeasureWave(5, 20, 0.15)
+	want, wantErr := oracleMeasureWave(res, 5, 20, 0.15)
 
 	mStr, err := New(cfg)
 	if err != nil {
@@ -184,7 +185,7 @@ func TestWaveDetectorMatchesMeasureWave(t *testing.T) {
 }
 
 // TestRunSummaryResync checks the convenience reduction on a
-// resynchronizing scenario against the materialized report values.
+// resynchronizing scenario against the trajectory-walking oracles.
 func TestRunSummaryResync(t *testing.T) {
 	cfg := baseConfig(t, 16)
 	cfg.LocalNoise = noise.Delay{Rank: 3, Start: 10, Duration: 1, Extra: 20}
@@ -205,14 +206,14 @@ func TestRunSummaryResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := res.ResyncTime(0.1)
+	rt, err := oracleResyncTime(res, 0.1)
 	if err != nil {
 		t.Fatalf("scenario must resynchronize: %v", err)
 	}
 	if !sum.Resynced || sum.ResyncTime != rt {
 		t.Errorf("summary resync (%v, %v), materialized %v", sum.Resynced, sum.ResyncTime, rt)
 	}
-	if got, want := sum.AsymptoticSpread, res.AsymptoticSpread(0.15); got != want {
+	if got, want := sum.AsymptoticSpread, oracleAsymptoticSpread(res, 0.15); got != want {
 		t.Errorf("summary asymptotic spread %v, want %v", got, want)
 	}
 	if sum.Stats != res.Stats {

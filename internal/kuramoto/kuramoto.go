@@ -151,34 +151,13 @@ func (m *Model) Run(tEnd float64, nSamples int) (*Result, error) {
 	return &Result{Ts: res.Ts, Theta: res.Ys, Stats: res.Stats}, nil
 }
 
-// OrderTimeline returns r(t) at every sample.
-func (r *Result) OrderTimeline() []float64 {
-	out := make([]float64, len(r.Theta))
-	for k, th := range r.Theta {
-		out[k], _ = stats.OrderParameter(th)
-	}
-	return out
-}
-
-// AsymptoticOrder averages r(t) over the final fraction of the run.
+// AsymptoticOrder averages r(t) over the final fraction of the run (the
+// final sample alone for finalFraction 0). The rows replay through
+// sim.OrderAccumulator, the metric's one implementation.
 func (r *Result) AsymptoticOrder(finalFraction float64) float64 {
-	n := len(r.Theta)
-	if n == 0 {
-		return 0
-	}
-	start := n - int(float64(n)*finalFraction)
-	if start < 0 {
-		start = 0
-	}
-	if start >= n {
-		start = n - 1
-	}
-	var sum float64
-	for k := start; k < n; k++ {
-		rk, _ := stats.OrderParameter(r.Theta[k])
-		sum += rk
-	}
-	return sum / float64(n-start)
+	a := &sim.OrderAccumulator{FinalFraction: sim.LiteralFraction(finalFraction)}
+	sim.Replay(a, r.Ts, r.Theta)
+	return a.Asymptotic()
 }
 
 // SweepPoint is one (K, r∞) sample of the synchronization transition.
@@ -189,9 +168,10 @@ type SweepPoint struct {
 // SweepCoupling measures the asymptotic order parameter across a range of
 // couplings — the classic Kuramoto bifurcation diagram used to place K_c.
 // Each point streams through the shared OrderAccumulator instead of
-// materializing its trajectory, so the sweep holds O(N) state per point;
-// the accumulated r∞ is bit-for-bit AsymptoticOrder(0.25) on the
-// materialized run.
+// materializing its trajectory, so the sweep holds O(N) state per point.
+// AsymptoticOrder(0.25) replays a materialized run through the same
+// accumulator, and the accumulator is pinned to a trajectory-walking
+// oracle in the tests.
 func SweepCoupling(base Config, ks []float64, tEnd float64) ([]SweepPoint, error) {
 	out := make([]SweepPoint, 0, len(ks))
 	for _, k := range ks {
@@ -212,8 +192,11 @@ func SweepCoupling(base Config, ks []float64, tEnd float64) ([]SweepPoint, error
 
 // PhaseSlips counts events where an oscillator's phase distance to the
 // mean phase grows past 2π — the slips that the paper's non-periodic
-// potentials forbid but the sine coupling allows. The count is computed
-// by CountSlipsRows (mean-field drift removed: increments are compared
-// against the ensemble mean), which the streaming SlipCounter reproduces
-// bitwise without the materialized trajectory.
-func (r *Result) PhaseSlips() int { return CountSlipsRows(r.Theta) }
+// potentials forbid but the sine coupling allows (mean-field drift
+// removed: increments are compared against the ensemble mean). The rows
+// replay through SlipCounter, the metric's one implementation.
+func (r *Result) PhaseSlips() int {
+	s := &SlipCounter{}
+	sim.Replay(s, r.Ts, r.Theta)
+	return s.Slips()
+}

@@ -115,23 +115,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestOrderTimelineLength(t *testing.T) {
-	m, _ := New(Config{N: 10, K: 1, FreqStd: 0.5, Seed: 5, SpreadInitial: true})
-	res, err := m.Run(10, 51)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ot := res.OrderTimeline()
-	if len(ot) != len(res.Ts) {
-		t.Fatalf("timeline length %d vs %d samples", len(ot), len(res.Ts))
-	}
-	for _, r := range ot {
-		if r < 0 || r > 1+1e-9 {
-			t.Fatalf("order parameter out of range: %v", r)
-		}
-	}
-}
-
 // TestNewRejectsNonFiniteParameters is the regression test for the
 // input-validation hole: before the fix a NaN/Inf coupling or frequency
 // parameter sailed through New (NaN fails every sign check) and
@@ -155,8 +138,8 @@ func TestNewRejectsNonFiniteParameters(t *testing.T) {
 
 // TestRunStreamMatchesRun pins the unified-runtime port: the rows
 // streamed through sim.RunStream are bit-for-bit the rows Run
-// materializes, and the shared OrderAccumulator reproduces
-// AsymptoticOrder exactly.
+// materializes, and the shared OrderAccumulator reproduces the
+// trajectory-walking AsymptoticOrder oracle exactly.
 func TestRunStreamMatchesRun(t *testing.T) {
 	cfg := Config{N: 40, K: 1.2, FreqMean: 0, FreqStd: 1, Seed: 9, SpreadInitial: true}
 	m, err := New(cfg)
@@ -190,7 +173,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if k != len(res.Ts) {
 		t.Fatalf("streamed %d rows, materialized %d", k, len(res.Ts))
 	}
-	want := res.AsymptoticOrder(0.25)
+	want := oracleAsymptoticOrder(res, 0.25)
 	if got := order.Asymptotic(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("streamed r∞ = %v, materialized %v (must be bitwise equal)", got, want)
 	}

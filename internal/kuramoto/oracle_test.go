@@ -1,0 +1,107 @@
+package kuramoto
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/mathx"
+	"repro/internal/stats"
+)
+
+// The trajectory-walking bodies of the Result metrics, kept verbatim from
+// before the metrics replayed their rows through the streaming sinks. They
+// are the references the sinks are pinned against bit for bit.
+
+// oracleAsymptoticOrder is the trajectory walk of Result.AsymptoticOrder;
+// only the receiver became the first parameter.
+func oracleAsymptoticOrder(r *Result, finalFraction float64) float64 {
+	n := len(r.Theta)
+	if n == 0 {
+		return 0
+	}
+	start := n - int(float64(n)*finalFraction)
+	if start < 0 {
+		start = 0
+	}
+	if start >= n {
+		start = n - 1
+	}
+	var sum float64
+	for k := start; k < n; k++ {
+		rk, _ := stats.OrderParameter(r.Theta[k])
+		sum += rk
+	}
+	return sum / float64(n-start)
+}
+
+// CountSlipsRows counts phase-slip events over materialized trajectory
+// rows: for each oscillator, the drift-corrected phase increment
+// (θ_i(t_k) − θ_i(t_{k−1})) − (θ̄(t_k) − θ̄(t_{k−1})) is accumulated, and
+// every excursion past 2π counts one slip and resets the accumulator.
+// It is the reference the streaming SlipCounter is pinned against
+// bitwise.
+func CountSlipsRows(rows [][]float64) int {
+	if len(rows) == 0 {
+		return 0
+	}
+	// The ensemble means are oscillator-independent; hoisting them out of
+	// the per-oscillator loop is bitwise-neutral (same values, same
+	// per-oscillator accumulation order) and turns the pass from
+	// O(n²·samples) into O(n·samples).
+	means := make([]float64, len(rows))
+	for k, row := range rows {
+		means[k] = mathx.Mean(row)
+	}
+	n := len(rows[0])
+	slips := 0
+	for i := 0; i < n; i++ {
+		var acc float64
+		prev := rows[0][i]
+		for k := 1; k < len(rows); k++ {
+			cur := rows[k][i]
+			acc += (cur - prev) - (means[k] - means[k-1])
+			if math.Abs(acc) >= mathx.TwoPi {
+				slips++
+				acc = 0
+			}
+			prev = cur
+		}
+	}
+	return slips
+}
+
+// TestResultMetricsMatchOracles compares AsymptoticOrder and PhaseSlips,
+// which replay their rows through OrderAccumulator and SlipCounter, with
+// their trajectory-walking oracles bit for bit, for final fractions 0,
+// 0.15 and 1 on a slipping run, one sample and no samples. A final
+// fraction of 0 means the final sample alone, while the accumulator reads
+// 0 as its default window; the run tells the two apart.
+func TestResultMetricsMatchOracles(t *testing.T) {
+	m, err := New(Config{N: 10, K: 0.4, FreqStd: 1, Seed: 11, SpreadInitial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := m.Run(60, 301)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := map[string]*Result{
+		"slipping-run": run,
+		"one-sample":   {Ts: run.Ts[:1], Theta: run.Theta[:1]},
+		"empty":        {},
+	}
+	for name, r := range results {
+		for _, ff := range []float64{0, 0.15, 1} {
+			got, want := r.AsymptoticOrder(ff), oracleAsymptoticOrder(r, ff)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s ff=%v: AsymptoticOrder %v, oracle %v", name, ff, got, want)
+			}
+		}
+		if got, want := r.PhaseSlips(), CountSlipsRows(r.Theta); got != want {
+			t.Errorf("%s: PhaseSlips %d, oracle %d", name, got, want)
+		}
+	}
+	if run.AsymptoticOrder(0) == oracleAsymptoticOrder(run, 0.15) {
+		t.Fatal("the run no longer distinguishes the final-sample window from the default window")
+	}
+}

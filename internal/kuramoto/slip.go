@@ -6,49 +6,13 @@ import (
 	"repro/internal/mathx"
 )
 
-// CountSlipsRows counts phase-slip events over materialized trajectory
-// rows: for each oscillator, the drift-corrected phase increment
-// (θ_i(t_k) − θ_i(t_{k−1})) − (θ̄(t_k) − θ̄(t_{k−1})) is accumulated, and
-// every excursion past 2π counts one slip and resets the accumulator.
-// This is the reference implementation the streaming SlipCounter is
-// pinned against bitwise; Result.PhaseSlips delegates here.
-func CountSlipsRows(rows [][]float64) int {
-	if len(rows) == 0 {
-		return 0
-	}
-	// The ensemble means are oscillator-independent; hoisting them out of
-	// the per-oscillator loop is bitwise-neutral (same values, same
-	// per-oscillator accumulation order) and turns the pass from
-	// O(n²·samples) into O(n·samples).
-	means := make([]float64, len(rows))
-	for k, row := range rows {
-		means[k] = mathx.Mean(row)
-	}
-	n := len(rows[0])
-	slips := 0
-	for i := 0; i < n; i++ {
-		var acc float64
-		prev := rows[0][i]
-		for k := 1; k < len(rows); k++ {
-			cur := rows[k][i]
-			acc += (cur - prev) - (means[k] - means[k-1])
-			if math.Abs(acc) >= mathx.TwoPi {
-				slips++
-				acc = 0
-			}
-			prev = cur
-		}
-	}
-	return slips
-}
-
 // SlipCounter counts phase slips and measures per-oscillator drift
-// online — the streaming counterpart of Result.PhaseSlips that needs no
-// materialized trajectory, so million-point Kuramoto sweeps can count
-// slips in O(N) memory. It implements sim.Sink; the slip total is
-// bit-for-bit CountSlipsRows (and hence Result.PhaseSlips) on the same
-// sample rows: per oscillator the same drift-corrected increments are
-// accumulated in the same order, against the same ensemble means.
+// online, in O(N) memory, so million-point Kuramoto sweeps need no
+// materialized trajectory. It implements sim.Sink. It is the one
+// implementation of the slip count: Result.PhaseSlips replays its rows
+// through it, and the tests pin it bit for bit to a trajectory-walking
+// oracle (per oscillator the same drift-corrected increments, accumulated
+// in the same order, against the same ensemble means).
 type SlipCounter struct {
 	n     int
 	k     int
@@ -57,7 +21,6 @@ type SlipCounter struct {
 	prev     []float64
 	prevMean float64
 	acc      []float64
-	perOsc   []int
 
 	t0, t1          float64
 	y0, y1          []float64
@@ -72,15 +35,13 @@ func (s *SlipCounter) Begin(n, _ int) {
 	if cap(s.prev) < n {
 		s.prev = make([]float64, n)
 		s.acc = make([]float64, n)
-		s.perOsc = make([]int, n)
 		s.y0 = make([]float64, n)
 		s.y1 = make([]float64, n)
 	}
-	s.prev, s.acc, s.perOsc = s.prev[:n], s.acc[:n], s.perOsc[:n]
+	s.prev, s.acc = s.prev[:n], s.acc[:n]
 	s.y0, s.y1 = s.y0[:n], s.y1[:n]
 	for i := 0; i < n; i++ {
 		s.acc[i] = 0
-		s.perOsc[i] = 0
 	}
 }
 
@@ -97,7 +58,6 @@ func (s *SlipCounter) Sample(t float64, theta []float64) {
 		for i := 0; i < s.n; i++ {
 			s.acc[i] += (theta[i] - s.prev[i]) - drift
 			if math.Abs(s.acc[i]) >= mathx.TwoPi {
-				s.perOsc[i]++
 				s.total++
 				s.acc[i] = 0
 			}
@@ -111,14 +71,8 @@ func (s *SlipCounter) Sample(t float64, theta []float64) {
 	s.k++
 }
 
-// Slips returns the total slip count — equal to Result.PhaseSlips on the
-// materialized run.
+// Slips returns the total slip count.
 func (s *SlipCounter) Slips() int { return s.total }
-
-// PerOscillator returns each oscillator's slip count (the total is their
-// sum). The returned slice aliases internal state; copy it to retain it
-// across a reused counter.
-func (s *SlipCounter) PerOscillator() []int { return s.perOsc }
 
 // DriftRates returns each oscillator's mean drift rate relative to the
 // ensemble mean over the whole run: the secant

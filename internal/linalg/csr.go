@@ -80,12 +80,6 @@ func (b *Builder) Build() *CSR {
 	return m
 }
 
-// Dims returns the matrix dimensions.
-func (m *CSR) Dims() (r, c int) { return m.rows, m.cols }
-
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.values) }
-
 // At returns element (i, j), zero when absent. O(log nnz(row)).
 func (m *CSR) At(i, j int) float64 {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
@@ -106,27 +100,6 @@ func (m *CSR) Row(i int, fn func(j int, v float64)) {
 // RowNNZ returns the number of nonzeros in row i (the degree of
 // oscillator i in a topology matrix).
 func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
-
-// MulVec computes dst = M·x, allocating dst when nil.
-func (m *CSR) MulVec(dst, x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, ErrShape
-	}
-	if dst == nil {
-		dst = make([]float64, m.rows)
-	}
-	if len(dst) != m.rows {
-		return nil, ErrShape
-	}
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.values[k] * x[m.colIdx[k]]
-		}
-		dst[i] = s
-	}
-	return dst, nil
-}
 
 // IsSymmetric reports whether M equals Mᵀ within tol. Communication
 // topologies with matched send/recv pairs are symmetric.

@@ -64,29 +64,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// MulVec computes dst = M·x. dst may be nil (allocated) but must not alias
-// x. It returns an error on shape mismatch.
-func (m *Dense) MulVec(dst, x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, ErrShape
-	}
-	if dst == nil {
-		dst = make([]float64, m.rows)
-	}
-	if len(dst) != m.rows {
-		return nil, ErrShape
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-	return dst, nil
-}
-
 // IsSymmetric reports whether the matrix equals its transpose to within
 // tol. Non-square matrices are never symmetric.
 func (m *Dense) IsSymmetric(tol float64) bool {
@@ -110,17 +87,6 @@ func (m *Dense) Frobenius() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// NNZ counts entries with |v| > tol.
-func (m *Dense) NNZ(tol float64) int {
-	n := 0
-	for _, v := range m.data {
-		if math.Abs(v) > tol {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders a small matrix for debugging.

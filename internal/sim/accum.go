@@ -8,10 +8,10 @@ import (
 	"repro/internal/stats"
 )
 
-// finalWindow replicates the asymptotic-window start index used by the
-// materialized report paths (core.Result.AsymptoticSpread and friends):
-// the last finalFraction of n samples, clamped to at least the final
-// sample.
+// finalWindow is the one asymptotic-window start index of every windowed
+// metric, streamed or materialized (core.Result.AsymptoticSpread and
+// friends replay their rows through these accumulators): the last
+// finalFraction of n samples, clamped to at least the final sample.
 func finalWindow(n int, finalFraction float64) int {
 	start := n - int(float64(n)*finalFraction)
 	if start < 0 {
@@ -23,10 +23,24 @@ func finalWindow(n int, finalFraction float64) int {
 	return start
 }
 
+// LiteralFraction returns the FinalFraction field value that makes an
+// accumulator use finalFraction as given. The accumulators read a zero
+// fraction as their default window, while a literal zero window holds only
+// the final sample (the last two for LockAccumulator). Any negative
+// fraction clamps to exactly that window, so zero maps to −1 and every
+// other value passes through.
+func LiteralFraction(finalFraction float64) float64 {
+	if finalFraction == 0 {
+		return -1
+	}
+	return finalFraction
+}
+
 // SpreadAccumulator computes the phase-spread metrics of a run online:
-// per-sample it evaluates the same stats.PhaseSpread as the materialized
-// SpreadTimeline, and its Asymptotic value reproduces AsymptoticSpread
-// bit-for-bit (same additions in the same order).
+// per sample it evaluates the same stats.PhaseSpread as the materialized
+// SpreadTimeline. Its Asymptotic value is the one implementation of
+// core.Result.AsymptoticSpread, which replays its rows through it; the
+// tests pin it bit for bit to the trajectory-walking oracle.
 type SpreadAccumulator struct {
 	// FinalFraction sets the asymptotic averaging window; 0 means 0.15
 	// (the window the report paths use).
@@ -78,8 +92,7 @@ func (a *SpreadAccumulator) Final() float64 { return a.final }
 // Max returns the largest spread seen.
 func (a *SpreadAccumulator) Max() float64 { return a.max }
 
-// Asymptotic returns the mean spread over the final window — equal to
-// AsymptoticSpread(FinalFraction) on the same materialized run.
+// Asymptotic returns the mean spread over the final window.
 func (a *SpreadAccumulator) Asymptotic() float64 {
 	if a.k <= a.start {
 		return 0
@@ -88,9 +101,11 @@ func (a *SpreadAccumulator) Asymptotic() float64 {
 }
 
 // OrderAccumulator computes the Kuramoto order parameter r(t) online —
-// per-sample identical to the materialized OrderTimeline, and its
-// Asymptotic value reproduces kuramoto.Result.AsymptoticOrder
-// bit-for-bit (same additions in the same order over the same window).
+// per sample identical to core.Result.OrderTimeline. Its Asymptotic value
+// is the one implementation of kuramoto.Result.AsymptoticOrder, which
+// replays its rows through it; the tests pin it bit for bit to the
+// trajectory-walking oracle (same additions in the same order over the
+// same window).
 type OrderAccumulator struct {
 	// FinalFraction sets the asymptotic averaging window; 0 means 0.15.
 	FinalFraction float64
@@ -158,8 +173,9 @@ func (a *OrderAccumulator) Asymptotic() float64 {
 
 // ResyncDetector finds the resynchronization time online: the first sample
 // time at which the phase spread drops below Eps and stays below it for
-// the rest of the run — exactly the materialized ResyncTime(Eps), computed
-// forward by tracking the start of the current below-Eps run.
+// the rest of the run, computed forward by tracking the start of the
+// current below-Eps run. core.Result.ResyncTime replays its rows through
+// it, and the tests pin it to the backward-scanning oracle.
 type ResyncDetector struct {
 	// Eps is the spread threshold (the report paths use 0.1).
 	Eps float64
@@ -190,7 +206,8 @@ func (d *ResyncDetector) ResyncTime() (float64, error) {
 }
 
 // GapAccumulator time-averages the adjacent phase gaps θ_{i+1} − θ_i over
-// the final window — bit-for-bit the materialized AsymptoticGaps.
+// the final window: the one implementation of core.Result.AsymptoticGaps,
+// pinned bit for bit to the trajectory-walking oracle.
 type GapAccumulator struct {
 	// FinalFraction sets the averaging window; 0 means 0.15.
 	FinalFraction float64
@@ -257,13 +274,13 @@ func (a *GapAccumulator) MeanAbsGap() float64 {
 	return sum / float64(len(gaps))
 }
 
-// LockAccumulator decides asymptotic frequency locking online — the
-// streaming counterpart of core.Result.FrequencyLocked, retaining only
-// the window-start row and the final row instead of the trajectory. The
-// mean frequency of each component over the final window is the secant
-// (y(t_end) − y(t_start)) / Δt; the system is locked when the frequency
-// range is within a relative tolerance of its midpoint. Locked(tol)
-// reproduces FrequencyLocked(FinalFraction, tol) on the same run exactly.
+// LockAccumulator decides asymptotic frequency locking online, retaining
+// only the window-start row and the final row instead of the trajectory.
+// The mean frequency of each component over the final window is the
+// secant (y(t_end) − y(t_start)) / Δt; the system is locked when the
+// frequency range is within a relative tolerance of its midpoint. It is
+// the one implementation of core.Result.FrequencyLocked, which replays
+// its rows through it; the tests pin it to the trajectory-walking oracle.
 type LockAccumulator struct {
 	// FinalFraction sets the averaging window; 0 means 0.2 (the report
 	// default).
@@ -282,8 +299,8 @@ func (a *LockAccumulator) Begin(n, nSamples int) {
 	if ff == 0 {
 		ff = 0.2
 	}
-	// FrequencyLocked clamps the window start to n−2 so the secant always
-	// spans at least one sample interval (finalWindow clamps to n−1).
+	// The window start clamps to n−2 so the secant always spans at least
+	// one sample interval (finalWindow clamps to n−1).
 	a.start = nSamples - int(float64(nSamples)*ff)
 	if a.start < 0 {
 		a.start = 0

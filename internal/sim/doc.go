@@ -31,11 +31,13 @@
 // Sink from reused buffers, so memory is independent of the sample
 // count. The accumulator sinks (SpreadAccumulator, OrderAccumulator,
 // ResyncDetector, GapAccumulator, LockAccumulator) reduce a stream to
-// O(N) summaries pinned bit-for-bit against their materialized
-// counterparts; RunSummary / RunSummaryTo bundle them into the standard
+// O(N) summaries; RunSummary / RunSummaryTo bundle them into the standard
 // Summary, optionally teeing extra sinks (an archive.RecordWriter, a
 // continuum.FrontTracker, a kuramoto.SlipCounter) into the same single
-// pass. Bitwise determinism is the load-bearing invariant: streamed rows
+// pass. The sinks are the one implementation of each run metric: the
+// materialized Result metrics of core, kuramoto and continuum replay
+// their rows through them with Replay, and the tests pin every sink bit
+// for bit to a trajectory-walking oracle. Bitwise determinism is the load-bearing invariant: streamed rows
 // equal materialized rows, parallel right-hand sides equal serial ones,
 // and resumed archives equal uninterrupted ones.
 //

@@ -44,3 +44,19 @@ func (ms multiSink) Sample(t float64, y []float64) {
 // Tee combines several sinks into one that replays every row to each, in
 // order — the standard way to run multiple accumulators over one pass.
 func Tee(sinks ...Sink) Sink { return multiSink(sinks) }
+
+// Replay drives a sink over materialized rows exactly as RunStream feeds
+// it a run: Begin with the row width and the row count, then one Sample
+// per row in order. The materialized Result metrics of core, kuramoto and
+// continuum read their rows back through the streaming sinks with it, so
+// each metric has a single implementation.
+func Replay(sink Sink, ts []float64, rows [][]float64) {
+	width := 0
+	if len(rows) > 0 {
+		width = len(rows[0])
+	}
+	sink.Begin(width, len(rows))
+	for k, row := range rows {
+		sink.Sample(ts[k], row)
+	}
+}

@@ -42,13 +42,6 @@ func (r *RNG) Seed(seed uint64) {
 	r.hasSpare = false
 }
 
-// Split returns a new generator whose stream is independent of r's for all
-// practical purposes. It is used to hand each simulated MPI rank its own
-// noise stream derived from one experiment seed.
-func (r *RNG) Split(stream uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (stream * 0x9e3779b97f4a7c15) ^ 0xd1342543de82ef95)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -130,33 +123,4 @@ func (r *RNG) Normal() float64 {
 // deviation.
 func (r *RNG) NormalMS(mean, sigma float64) float64 {
 	return mean + sigma*r.Normal()
-}
-
-// Exponential returns an exponential deviate with the given rate λ > 0
-// (mean 1/λ).
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("stats: Exponential with rate <= 0")
-	}
-	u := r.Float64()
-	// 1-u is in (0, 1]; Log of it is finite.
-	return -math.Log(1-u) / rate
-}
-
-// Shuffle permutes the first n integers with Fisher–Yates and calls swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -29,21 +29,6 @@ func TestRNGSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	root := NewRNG(7)
-	s1 := root.Split(1)
-	s2 := root.Split(2)
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if s1.Uint64() == s2.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split streams collided %d times", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 100000; i++ {
@@ -132,44 +117,6 @@ func TestNormalMS(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-5) > 0.05 {
 		t.Errorf("NormalMS mean = %v, want 5", mean)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(19)
-	const n = 200000
-	rate := 4.0
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := r.Exponential(rate)
-		if x < 0 {
-			t.Fatalf("negative exponential deviate %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-1/rate) > 0.01 {
-		t.Errorf("exponential mean = %v, want %v", mean, 1/rate)
-	}
-}
-
-func TestExponentialPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for rate <= 0")
-		}
-	}()
-	NewRNG(1).Exponential(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(31)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

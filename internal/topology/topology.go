@@ -313,9 +313,6 @@ type FlatNeighbors struct {
 	Cols []int32
 }
 
-// NNZ returns the total number of directed communication edges.
-func (f FlatNeighbors) NNZ() int { return len(f.Cols) }
-
 // Flat returns the packed CSR neighbor representation of the topology.
 // Constructor-built topologies carry it precomputed; for hand-assembled
 // Topology values it is derived on the fly without mutating the receiver,
