@@ -445,31 +445,27 @@ func familySinks(spec *scenario.Spec, sys sim.System) ([]sim.Sink, func()) {
 	return nil, func() {}
 }
 
-// report prints the run summary and writes optional SVGs.
+// report prints the run summary and writes optional SVGs. The metrics
+// replay the rows once through the sinks the streamed report uses.
 func report(spec *scenario.Spec, m *core.Model, res *core.Result, svgDir string, quiet bool) {
+	spread := &sim.SpreadAccumulator{FinalFraction: 0.15}
+	lock := &sim.LockAccumulator{FinalFraction: 0.2}
+	resync := &sim.ResyncDetector{Eps: 0.1}
+	gaps := &sim.GapAccumulator{FinalFraction: 0.15}
+	waves, printWaves := familySinks(spec, m)
+	sim.Replay(sim.Tee(append([]sim.Sink{spread, lock, resync, gaps}, waves...)...), res.Ts, res.Theta)
+
 	fmt.Printf("POM run: %s  N=%d potential=%s offsets=%v v_p=%.3g coupling=%.3g\n",
 		spec.Name, spec.N, spec.Potential.Kind, spec.Offsets, m.Vp(), m.Coupling())
 	fmt.Printf("solver: %s\n", res.Stats)
 	fmt.Printf("asymptotic spread: %.4f rad   frequency-locked: %v\n",
-		res.AsymptoticSpread(0.15), res.FrequencyLocked(0.2, 1e-2))
-	if rt, err := res.ResyncTime(0.1); err == nil {
+		spread.Asymptotic(), lock.Locked(1e-2))
+	if rt, err := resync.ResyncTime(); err == nil {
 		fmt.Printf("resynchronized at t = %.2f\n", rt)
 	} else {
-		gaps := res.AsymptoticGaps(0.15)
-		var s float64
-		for _, g := range gaps {
-			if g < 0 {
-				g = -g
-			}
-			s += g
-		}
-		printBrokenSymmetry(spec, s/float64(len(gaps)))
+		printBrokenSymmetry(spec, gaps.MeanAbsGap())
 	}
-	for _, d := range spec.Delays {
-		if wf, err := res.MeasureWave(d.Rank, d.Start, 0.15); err == nil {
-			printWave(wf)
-		}
-	}
+	printWaves()
 
 	if !quiet {
 		fmt.Println("\nphase strip (rows: time, columns: ranks; digits = lag behind leader):")

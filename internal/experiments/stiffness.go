@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -68,20 +67,16 @@ func StiffnessSweep(sigmas []float64) (*E6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := m.Run(400, 801)
-		if err != nil {
+		spread := &sim.SpreadAccumulator{FinalFraction: 0.1}
+		gaps := &sim.GapAccumulator{FinalFraction: 0.1}
+		if _, err := sim.RunStream(m, 400, 801, sim.Tee(spread, gaps)); err != nil {
 			return nil, err
-		}
-		gaps := out.AsymptoticGaps(0.1)
-		var sum float64
-		for _, g := range gaps {
-			sum += math.Abs(g)
 		}
 		res.SigmaSweep = append(res.SigmaSweep, E6SigmaPoint{
 			Sigma:        sigma,
-			MeanAbsGap:   sum / float64(len(gaps)),
+			MeanAbsGap:   gaps.MeanAbsGap(),
 			PredictedGap: 2 * sigma / 3,
-			Spread:       out.AsymptoticSpread(0.1),
+			Spread:       spread.Asymptotic(),
 		})
 	}
 

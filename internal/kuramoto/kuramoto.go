@@ -151,15 +151,6 @@ func (m *Model) Run(tEnd float64, nSamples int) (*Result, error) {
 	return &Result{Ts: res.Ts, Theta: res.Ys, Stats: res.Stats}, nil
 }
 
-// AsymptoticOrder averages r(t) over the final fraction of the run (the
-// final sample alone for finalFraction 0). The rows replay through
-// sim.OrderAccumulator, the metric's one implementation.
-func (r *Result) AsymptoticOrder(finalFraction float64) float64 {
-	a := &sim.OrderAccumulator{FinalFraction: sim.LiteralFraction(finalFraction)}
-	sim.Replay(a, r.Ts, r.Theta)
-	return a.Asymptotic()
-}
-
 // SweepPoint is one (K, r∞) sample of the synchronization transition.
 type SweepPoint struct {
 	K, R float64
@@ -168,10 +159,8 @@ type SweepPoint struct {
 // SweepCoupling measures the asymptotic order parameter across a range of
 // couplings — the classic Kuramoto bifurcation diagram used to place K_c.
 // Each point streams through the shared OrderAccumulator instead of
-// materializing its trajectory, so the sweep holds O(N) state per point.
-// AsymptoticOrder(0.25) replays a materialized run through the same
-// accumulator, and the accumulator is pinned to a trajectory-walking
-// oracle in the tests.
+// materializing its trajectory, so the sweep holds O(N) state per point;
+// the accumulator is pinned to a trajectory-walking oracle in the tests.
 func SweepCoupling(base Config, ks []float64, tEnd float64) ([]SweepPoint, error) {
 	out := make([]SweepPoint, 0, len(ks))
 	for _, k := range ks {

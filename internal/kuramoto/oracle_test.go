@@ -12,8 +12,8 @@ import (
 // before the metrics replayed their rows through the streaming sinks. They
 // are the references the sinks are pinned against bit for bit.
 
-// oracleAsymptoticOrder is the trajectory walk of Result.AsymptoticOrder;
-// only the receiver became the first parameter.
+// oracleAsymptoticOrder is the trajectory walk of the asymptotic order
+// parameter r∞ that asymptoticOrder is pinned against.
 func oracleAsymptoticOrder(r *Result, finalFraction float64) float64 {
 	n := len(r.Theta)
 	if n == 0 {
@@ -70,7 +70,7 @@ func CountSlipsRows(rows [][]float64) int {
 	return slips
 }
 
-// TestResultMetricsMatchOracles compares AsymptoticOrder and PhaseSlips,
+// TestResultMetricsMatchOracles compares asymptoticOrder and PhaseSlips,
 // which replay their rows through OrderAccumulator and SlipCounter, with
 // their trajectory-walking oracles bit for bit, for final fractions 0,
 // 0.15 and 1 on a slipping run, one sample and no samples. A final
@@ -92,16 +92,16 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 	}
 	for name, r := range results {
 		for _, ff := range []float64{0, 0.15, 1} {
-			got, want := r.AsymptoticOrder(ff), oracleAsymptoticOrder(r, ff)
+			got, want := asymptoticOrder(r, ff), oracleAsymptoticOrder(r, ff)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s ff=%v: AsymptoticOrder %v, oracle %v", name, ff, got, want)
+				t.Errorf("%s ff=%v: asymptoticOrder %v, oracle %v", name, ff, got, want)
 			}
 		}
 		if got, want := r.PhaseSlips(), CountSlipsRows(r.Theta); got != want {
 			t.Errorf("%s: PhaseSlips %d, oracle %d", name, got, want)
 		}
 	}
-	if run.AsymptoticOrder(0) == oracleAsymptoticOrder(run, 0.15) {
+	if asymptoticOrder(run, 0) == oracleAsymptoticOrder(run, 0.15) {
 		t.Fatal("the run no longer distinguishes the final-sample window from the default window")
 	}
 }

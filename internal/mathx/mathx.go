@@ -31,22 +31,6 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 }
 
-// Linspace fills dst with n evenly spaced points from a to b inclusive and
-// returns it. If dst is nil or too short a new slice is allocated. n must be
-// at least 2.
-func Linspace(a, b float64, n int) []float64 {
-	if n < 2 {
-		panic("mathx: Linspace needs n >= 2")
-	}
-	dst := make([]float64, n)
-	step := (b - a) / float64(n-1)
-	for i := range dst {
-		dst[i] = a + float64(i)*step
-	}
-	dst[n-1] = b // avoid accumulated rounding at the right edge
-	return dst
-}
-
 // Lerp linearly interpolates between a and b with parameter t in [0, 1].
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
 

@@ -26,19 +26,6 @@ func TestClampPanicsOnBadInterval(t *testing.T) {
 	Clamp(0, 2, 1)
 }
 
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(xs[i]-want[i]) > 1e-15 {
-			t.Errorf("Linspace[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-	if xs[len(xs)-1] != 1 {
-		t.Error("right endpoint must be exact")
-	}
-}
-
 func TestKahanSum(t *testing.T) {
 	// 1 + 1e-16 repeated: naive summation loses the small terms.
 	xs := make([]float64, 0, 10_000_001)

@@ -57,6 +57,17 @@ func TestHistoryCompact(t *testing.T) {
 	}
 }
 
+// solveDDETo integrates f over [0, t1] and returns the state at t1.
+func solveDDETo(t *testing.T, s *DOPRI5, f DelayFunc, y0 []float64, t1 float64, opt DDEOptions) []float64 {
+	t.Helper()
+	var out rows
+	opt.NSamples, opt.SampleFunc = 2, out.sample
+	if _, err := s.SolveDDE(f, y0, 0, t1, opt); err != nil {
+		t.Fatal(err)
+	}
+	return last(&out.Solution)
+}
+
 // TestSolveDDELinear integrates y'(t) = -y(t-1) with constant prehistory
 // y(t) = 1 for t <= 0. On [0, 1] the exact solution is y = 1 - t; on
 // [1, 2] it is y = 1 - t + (t-1)²/2 (method of steps).
@@ -65,9 +76,8 @@ func TestSolveDDELinear(t *testing.T) {
 	f := func(tt float64, _ []float64, past Past, dydt []float64) {
 		dydt[0] = -past.Eval(0, tt-1)
 	}
-	res, err := s.SolveDDE(f, []float64{1}, 0, 2, DDEOptions{
-		SampleTs: []float64{0.5, 1.0, 1.5, 2.0},
-	})
+	var out rows
+	_, err := s.SolveDDE(f, []float64{1}, 0, 2, DDEOptions{NSamples: 5, SampleFunc: out.sample})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +87,12 @@ func TestSolveDDELinear(t *testing.T) {
 		}
 		return 1 - tt + (tt-1)*(tt-1)/2
 	}
-	for k, tt := range res.Ts {
-		if math.Abs(res.Ys[k][0]-exact(tt)) > 1e-6 {
-			t.Errorf("y(%v) = %v, want %v", tt, res.Ys[k][0], exact(tt))
+	if len(out.Ts) != 5 {
+		t.Fatalf("got %d samples, want 5", len(out.Ts))
+	}
+	for k, tt := range out.Ts {
+		if math.Abs(out.Ys[k][0]-exact(tt)) > 1e-6 {
+			t.Errorf("y(%v) = %v, want %v", tt, out.Ys[k][0], exact(tt))
 		}
 	}
 }
@@ -91,11 +104,8 @@ func TestSolveDDEZeroDelayMatchesODE(t *testing.T) {
 	f := func(tt float64, y []float64, past Past, dydt []float64) {
 		dydt[0] = -past.Eval(0, tt) // τ = 0: reads "now" through history
 	}
-	res, err := s.SolveDDE(f, []float64{1}, 0, 3, DDEOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := last(&res.Solution)[0], math.Exp(-3); math.Abs(got-want) > 1e-4 {
+	got := solveDDETo(t, s, f, []float64{1}, 3, DDEOptions{})
+	if got, want := got[0], math.Exp(-3); math.Abs(got-want) > 1e-4 {
 		t.Errorf("zero-delay DDE y(3) = %v, want %v", got, want)
 	}
 }
@@ -106,12 +116,8 @@ func TestSolveDDEPrehistoryDefault(t *testing.T) {
 	f := func(tt float64, _ []float64, past Past, dydt []float64) {
 		dydt[0] = past.Eval(0, tt-5) // always reads prehistory on [0,2]
 	}
-	res, err := s.SolveDDE(f, []float64{3}, 0, 2, DDEOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// y' = 3 constant → y(2) = 3 + 6 = 9.
-	if got := last(&res.Solution)[0]; math.Abs(got-9) > 1e-7 {
+	if got := solveDDETo(t, s, f, []float64{3}, 2, DDEOptions{})[0]; math.Abs(got-9) > 1e-7 {
 		t.Errorf("y(2) = %v, want 9", got)
 	}
 }
@@ -121,13 +127,9 @@ func TestSolveDDEMaxDelayCompaction(t *testing.T) {
 	f := func(tt float64, y []float64, past Past, dydt []float64) {
 		dydt[0] = -past.Eval(0, tt-0.5)
 	}
-	res, err := s.SolveDDE(f, []float64{1}, 0, 50, DDEOptions{MaxDelay: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Solution of y' = -y(t-1/2) oscillates with decaying amplitude; it
 	// must remain bounded and finite.
-	if got := last(&res.Solution)[0]; math.IsNaN(got) || math.Abs(got) > 1 {
+	if got := solveDDETo(t, s, f, []float64{1}, 50, DDEOptions{MaxDelay: 0.5})[0]; math.IsNaN(got) || math.Abs(got) > 1 {
 		t.Errorf("long DDE run diverged: %v", got)
 	}
 }

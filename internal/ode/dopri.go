@@ -63,27 +63,26 @@ type DOPRI5 struct {
 	H0 float64
 	// Hmax caps the step size; 0 means no cap beyond the interval length.
 	Hmax float64
-	// Hmin rejects the integration when the controller underflows below it.
-	Hmin float64
 	// MaxSteps aborts runaway integrations.
 	MaxSteps int
-	// Beta enables the PI stabilization term (0.04–0.08 typical; 0 gives
-	// the plain I controller).
-	Beta float64
 
 	k1, k2, k3, k4, k5, k6, k7 []float64
 	ytmp                       []float64
 	y, ynew, ysmp              []float64
 
 	// scratchSeg is the dense segment reused across steps when the caller
-	// does not retain dense output (no KeepDense, OnStep, or Pool).
+	// does not retain dense output (no OnStep or Pool).
 	scratchSeg DenseSegment
 }
+
+// beta is the weight of the PI controller's stabilization term (Hairer
+// II.4 suggests 0.04–0.08; 0 would give the plain I controller).
+const beta = 0.04
 
 // NewDOPRI5 returns an integrator with the given tolerances and sensible
 // controller defaults.
 func NewDOPRI5(atol, rtol float64) *DOPRI5 {
-	return &DOPRI5{Atol: atol, Rtol: rtol, MaxSteps: 10_000_000, Beta: 0.04}
+	return &DOPRI5{Atol: atol, Rtol: rtol, MaxSteps: 10_000_000}
 }
 
 // DenseSegment is the continuous extension of one accepted step over
@@ -173,44 +172,26 @@ func (seg *DenseSegment) End() float64 { return seg.T0 + seg.H }
 
 // SolveOptions configures a DOPRI5 integration run.
 type SolveOptions struct {
-	// SampleTs requests output at these times (must be strictly
-	// increasing and lie in [t0, t1] — validated by Solve); when nil,
-	// every accepted step is recorded.
-	SampleTs []float64
-	// SampleAt, together with NSamples > 0, requests output at the
-	// increasing times SampleAt(0) … SampleAt(NSamples−1) without
-	// materializing the time grid — the O(1)-memory sample plan streaming
-	// consumers pair with SampleFunc. Ignored when SampleTs is set.
-	SampleAt func(k int) float64
-	// NSamples is the number of samples SampleAt produces.
+	// NSamples is the number of output rows: the uniform times
+	// t0 + k·(t1−t0)/(NSamples−1), the last exactly t1. NSamples 1 is the
+	// t0 row alone; more need t1 > t0.
 	NSamples int
-	// SampleFunc, when non-nil, streams every output row to the callback
-	// instead of materializing it in Result.Ts/Ys: the result carries only
-	// the work statistics and the run's memory is independent of the
-	// sample count. The y slice is solver-owned and reused between calls;
-	// implementations must not retain it.
+	// SampleFunc receives the output rows in time order, interpolated
+	// from the dense output of the step that covers each sample time. The
+	// y slice is solver-owned and reused between calls; implementations
+	// must not retain it. Nil samples nothing.
 	SampleFunc func(t float64, y []float64)
-	// KeepDense retains all dense segments in the returned result.
-	KeepDense bool
 	// OnStep, when non-nil, is invoked after every accepted step with the
 	// segment for that step (used by the DDE history).
 	OnStep func(seg *DenseSegment)
-	// Pool, when non-nil, supplies the dense segments handed to OnStep /
-	// KeepDense. Pair it with a consumer that recycles retired segments
-	// (the DDE history's Compact) to make long runs allocation-free.
+	// Pool, when non-nil, supplies the dense segments handed to OnStep.
+	// Pair it with a consumer that recycles retired segments (the DDE
+	// history's Compact) to make long runs allocation-free.
 	Pool *SegmentPool
 }
 
-// Result bundles the solution, work statistics, and (optionally) the dense
-// segments of an integration.
-type Result struct {
-	Solution
-	Stats Stats
-	Dense []*DenseSegment
-}
-
 // ErrStepSizeUnderflow reports that the controller could not meet the
-// tolerance with a step above Hmin.
+// tolerance with a step above the rounding level of t.
 var ErrStepSizeUnderflow = errors.New("ode: step size underflow")
 
 // ErrTooManySteps reports that MaxSteps was exceeded.
@@ -222,17 +203,23 @@ var ErrTooManySteps = errors.New("ode: too many steps")
 // NaN — so the integration stops at the first such step.
 var ErrNonFinite = errors.New("ode: non-finite error norm")
 
-// Solve integrates y' = f(t, y) from t0 to t1 starting at y0.
-func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (*Result, error) {
-	if t1 < t0 {
-		return nil, errors.New("ode: Solve needs t1 >= t0")
-	}
+// Solve integrates y' = f(t, y) from t0 to t1 starting at y0, streaming
+// the sample rows to opt.SampleFunc. It returns the work statistics,
+// which on error cover the steps taken before the failure.
+func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (Stats, error) {
+	var st Stats
 	n := len(y0)
-	if n == 0 {
-		return nil, errors.New("ode: empty state")
+	switch {
+	case !(t1 >= t0): // also NaN
+		return st, fmt.Errorf("ode: Solve needs t0 <= t1, got [%g, %g]", t0, t1)
+	case n == 0:
+		return st, errors.New("ode: empty state")
+	case opt.NSamples < 0:
+		return st, fmt.Errorf("ode: negative NSamples %d", opt.NSamples)
+	case opt.NSamples > 1 && t1 == t0:
+		return st, fmt.Errorf("ode: %d samples need t1 > t0", opt.NSamples)
 	}
 	s.alloc(n)
-	res := &Result{}
 
 	s.y = grow(s.y, n)
 	copy(s.y, y0)
@@ -240,63 +227,16 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 	y, ynew := s.y, s.ynew
 	t := t0
 
-	// The sample plan is either an explicit grid (SampleTs) or a virtual
-	// one (SampleAt), evaluated lazily so streaming runs hold no grid.
-	if opt.NSamples < 0 {
-		return nil, fmt.Errorf("ode: negative NSamples %d", opt.NSamples)
+	// Sample k sits at t0 + k·step; the last one is t1 itself, so rounding
+	// never moves the final row. The t0 row is the initial state.
+	next, last := 0, opt.NSamples-1
+	if opt.SampleFunc == nil {
+		last = -1
 	}
-	hasPlan := opt.SampleTs != nil
-	nSamp := len(opt.SampleTs)
-	sampleAt := func(k int) float64 { return opt.SampleTs[k] }
-	if !hasPlan && opt.SampleAt != nil && opt.NSamples > 0 {
-		hasPlan = true
-		nSamp = opt.NSamples
-		sampleAt = opt.SampleAt
-	}
-	// A bad plan — non-increasing times or samples outside [t0, t1] —
-	// would silently produce corrupt output (rows skipped, duplicated, or
-	// extrapolated); reject it up front. The scan evaluates the virtual
-	// plan once ahead of time, which costs O(nSamp) arithmetic and no
-	// allocations.
-	if hasPlan {
-		if err := checkSamplePlan(nSamp, sampleAt, t0, t1); err != nil {
-			return nil, err
-		}
-	}
-
-	// With a known sample plan the output rows are carved out of one
-	// arena allocation instead of one allocation per sample. A streaming
-	// consumer (SampleFunc) bypasses materialization entirely: rows are
-	// handed over straight from the solver buffers and never stored.
-	var arena []float64
-	arenaNext := 0
-	if hasPlan && opt.SampleFunc == nil {
-		rows := nSamp + 1
-		arena = make([]float64, rows*n)
-		res.Ts = make([]float64, 0, rows)
-		res.Ys = make([][]float64, 0, rows)
-	}
-	sampleIdx := 0
-	record := func(tt float64, v []float64) {
-		if opt.SampleFunc != nil {
-			opt.SampleFunc(tt, v)
-			return
-		}
-		res.Ts = append(res.Ts, tt)
-		var row []float64
-		if arena != nil {
-			row = arena[arenaNext : arenaNext+n : arenaNext+n]
-			arenaNext += n
-		} else {
-			row = make([]float64, n)
-		}
-		copy(row, v)
-		res.Ys = append(res.Ys, row)
-	}
-	record(t0, y)
-	// Skip any requested samples that coincide with t0.
-	for sampleIdx < nSamp && sampleAt(sampleIdx) <= t0 {
-		sampleIdx++
+	step := (t1 - t0) / float64(last)
+	if last >= 0 {
+		opt.SampleFunc(t0, y)
+		next = 1
 	}
 
 	hmax := t1 - t0
@@ -310,14 +250,12 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 	h = math.Min(h, hmax)
 
 	f(t, y, s.k1) // first stage; FSAL recycles k7 afterwards
-	res.Stats.Evals++
+	st.Evals++
 
-	// retain: the caller keeps segments beyond the current step, so each
-	// accepted step needs its own (pooled or fresh) segment. Otherwise the
-	// solver-local scratch segment is reused, and no segment is built at
-	// all when nothing consumes dense output.
-	retain := opt.KeepDense || opt.OnStep != nil
-	needDense := retain || hasPlan
+	// Each accepted step needs its own (pooled or fresh) segment when
+	// OnStep keeps it beyond the step; otherwise the solver-local scratch
+	// segment is reused, and none is built when nothing reads dense output.
+	needDense := opt.OnStep != nil || next <= last
 
 	errOld := 1e-4
 	maxSteps := s.MaxSteps
@@ -326,28 +264,29 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 	}
 
 	for t < t1 {
-		if res.Stats.Steps >= maxSteps {
-			return res, fmt.Errorf("%w (t=%g of %g)", ErrTooManySteps, t, t1)
+		if st.Steps >= maxSteps {
+			return st, fmt.Errorf("%w (t=%g of %g)", ErrTooManySteps, t, t1)
 		}
 		if t+h > t1 {
 			h = t1 - t
 		}
-		res.Stats.Steps++
+		st.Steps++
 
 		errNorm := s.step(f, t, y, h, ynew)
-		res.Stats.Evals += 6
+		st.Evals += 6
 		if math.IsNaN(errNorm) {
-			return res, fmt.Errorf("%w at t=%g (h=%g)", ErrNonFinite, t, h)
+			return st, fmt.Errorf("%w at t=%g (h=%g)", ErrNonFinite, t, h)
 		}
 
 		if errNorm <= 1 { // accept
-			res.Stats.Accepted++
-			var seg *DenseSegment
+			st.Accepted++
+			tNew := t + h
 			if needDense {
+				var seg *DenseSegment
 				switch {
 				case opt.Pool != nil:
 					seg = opt.Pool.Get(n)
-				case retain:
+				case opt.OnStep != nil:
 					seg = &DenseSegment{}
 					seg.reserve(n)
 				default:
@@ -358,21 +297,16 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 				if opt.OnStep != nil {
 					opt.OnStep(seg)
 				}
-				if opt.KeepDense {
-					res.Dense = append(res.Dense, seg)
-				}
-			}
-			tNew := t + h
-			if !hasPlan {
-				record(tNew, ynew)
-			} else {
-				for sampleIdx < nSamp {
-					ts := sampleAt(sampleIdx)
+				for next <= last {
+					ts := t1
+					if next < last {
+						ts = t0 + float64(next)*step
+					}
 					if ts > tNew+1e-14 {
 						break
 					}
-					record(ts, seg.Eval(ts, s.ysmp))
-					sampleIdx++
+					opt.SampleFunc(ts, seg.Eval(ts, s.ysmp))
+					next++
 				}
 			}
 			// FSAL: k7 of the accepted step becomes k1 of the next.
@@ -381,37 +315,20 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 			t = tNew
 
 			// PI controller (Hairer II.4): err^(-0.2+beta) * errold^beta.
-			fac := math.Pow(errNorm, -(0.2-s.Beta*0.75)) * math.Pow(errOld, s.Beta)
+			fac := math.Pow(errNorm, -(0.2-beta*0.75)) * math.Pow(errOld, beta)
 			fac = mathx.Clamp(0.9*fac, 0.2, 10)
 			h = math.Min(h*fac, hmax)
 			errOld = math.Max(errNorm, 1e-4)
 		} else { // reject
-			res.Stats.Rejected++
+			st.Rejected++
 			fac := mathx.Clamp(0.9*math.Pow(errNorm, -0.2), 0.1, 1)
 			h *= fac
-			if s.Hmin > 0 && h < s.Hmin || h < 1e-14*math.Max(1, math.Abs(t)) {
-				return res, fmt.Errorf("%w at t=%g (h=%g)", ErrStepSizeUnderflow, t, h)
+			if h < 1e-14*math.Max(1, math.Abs(t)) {
+				return st, fmt.Errorf("%w at t=%g (h=%g)", ErrStepSizeUnderflow, t, h)
 			}
 		}
 	}
-	return res, nil
-}
-
-// checkSamplePlan validates a sample plan: every time must lie inside
-// the integration interval and the sequence must be strictly increasing.
-func checkSamplePlan(n int, at func(int) float64, t0, t1 float64) error {
-	prev := math.Inf(-1)
-	for k := 0; k < n; k++ {
-		ts := at(k)
-		if math.IsNaN(ts) || ts < t0 || ts > t1 {
-			return fmt.Errorf("ode: sample %d at t=%g lies outside [%g, %g]", k, ts, t0, t1)
-		}
-		if ts <= prev {
-			return fmt.Errorf("ode: sample plan not increasing: sample %d at t=%g after t=%g", k, ts, prev)
-		}
-		prev = ts
-	}
-	return nil
+	return st, nil
 }
 
 // Coefficient rows in the order the 8-wide passes combine the stages

@@ -23,6 +23,26 @@ func harmonic(_ float64, y, dydt []float64) {
 // last returns the final sampled state of a solution.
 func last(s *Solution) []float64 { return s.Ys[len(s.Ys)-1] }
 
+// rows collects the rows a run streams to its SampleFunc.
+type rows struct{ Solution }
+
+func (r *rows) sample(t float64, y []float64) {
+	r.Ts = append(r.Ts, t)
+	r.Ys = append(r.Ys, append([]float64(nil), y...))
+}
+
+// solveTo integrates f over [t0, t1] and returns the state at t1 with the
+// work statistics.
+func solveTo(t *testing.T, s *DOPRI5, f Func, y0 []float64, t0, t1 float64) ([]float64, Stats) {
+	t.Helper()
+	var out rows
+	st, err := s.Solve(f, y0, t0, t1, SolveOptions{NSamples: 2, SampleFunc: out.sample})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return last(&out.Solution), st
+}
+
 func TestFixedSolveExpDecay(t *testing.T) {
 	sol, err := FixedSolve(expDecay, &RK4{}, []float64{1}, 0, 2, 1e-3, 100)
 	if err != nil {
@@ -77,28 +97,19 @@ func TestFixedSolveLandsOnT1(t *testing.T) {
 }
 
 func TestDOPRI5Accuracy(t *testing.T) {
-	s := NewDOPRI5(1e-10, 1e-10)
-	res, err := s.Solve(harmonic, []float64{1, 0}, 0, 10, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := last(&res.Solution)
+	got, st := solveTo(t, NewDOPRI5(1e-10, 1e-10), harmonic, []float64{1, 0}, 0, 10)
 	if math.Abs(got[0]-math.Cos(10)) > 1e-7 || math.Abs(got[1]+math.Sin(10)) > 1e-7 {
 		t.Errorf("y(10) = %v, want (cos10, -sin10)", got)
 	}
-	if res.Stats.Accepted == 0 || res.Stats.Evals == 0 {
+	if st.Accepted == 0 || st.Evals == 0 {
 		t.Error("stats not populated")
 	}
 }
 
 func TestDOPRI5ToleranceControlsError(t *testing.T) {
 	run := func(tol float64) (errv float64, steps int) {
-		s := NewDOPRI5(tol, tol)
-		res, err := s.Solve(harmonic, []float64{1, 0}, 0, 10, SolveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(last(&res.Solution)[0] - math.Cos(10)), res.Stats.Accepted
+		got, st := solveTo(t, NewDOPRI5(tol, tol), harmonic, []float64{1, 0}, 0, 10)
+		return math.Abs(got[0] - math.Cos(10)), st.Accepted
 	}
 	eLoose, nLoose := run(1e-4)
 	eTight, nTight := run(1e-9)
@@ -110,36 +121,51 @@ func TestDOPRI5ToleranceControlsError(t *testing.T) {
 	}
 }
 
+// TestDOPRI5SampleTs pins the uniform sample plan: NSamples rows at
+// t0 + k·(t1−t0)/(NSamples−1), the first and last exactly t0 and t1, each
+// interpolated to the dense-output accuracy.
 func TestDOPRI5SampleTs(t *testing.T) {
 	s := NewDOPRI5(1e-9, 1e-9)
-	want := []float64{0, 1, 2, 3, 4, 5}
-	res, err := s.Solve(expDecay, []float64{1}, 0, 5, SolveOptions{SampleTs: want})
-	if err != nil {
+	var out rows
+	if _, err := s.Solve(expDecay, []float64{1}, 1, 6, SolveOptions{NSamples: 11, SampleFunc: out.sample}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ts) != len(want) {
-		t.Fatalf("got %d samples (%v), want %d", len(res.Ts), res.Ts, len(want))
+	if len(out.Ts) != 11 {
+		t.Fatalf("got %d samples (%v), want 11", len(out.Ts), out.Ts)
 	}
-	for k, ts := range want {
-		if math.Abs(res.Ts[k]-ts) > 1e-12 {
-			t.Errorf("sample %d at %v, want %v", k, res.Ts[k], ts)
+	for k, ts := range out.Ts {
+		if want := 1 + float64(k)*0.5; ts != want {
+			t.Errorf("sample %d at %v, want %v", k, ts, want)
 		}
-		if math.Abs(res.Ys[k][0]-math.Exp(-ts)) > 1e-7 {
-			t.Errorf("y(%v) = %v, want %v", ts, res.Ys[k][0], math.Exp(-ts))
+		if want := math.Exp(1 - ts); math.Abs(out.Ys[k][0]-want) > 1e-7 {
+			t.Errorf("y(%v) = %v, want %v", ts, out.Ys[k][0], want)
 		}
+	}
+	// NSamples 1 is the initial row alone; no SampleFunc samples nothing.
+	out = rows{}
+	if _, err := s.Solve(expDecay, []float64{1}, 0, 1, SolveOptions{NSamples: 1, SampleFunc: out.sample}); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Ts) != 1 || out.Ts[0] != 0 || out.Ys[0][0] != 1 {
+		t.Errorf("NSamples 1 streamed %v %v, want the t0 row alone", out.Ts, out.Ys)
+	}
+	if _, err := s.Solve(expDecay, []float64{1}, 0, 1, SolveOptions{NSamples: 5}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestDOPRI5DenseOutputAccuracy(t *testing.T) {
 	s := NewDOPRI5(1e-9, 1e-9)
-	res, err := s.Solve(harmonic, []float64{1, 0}, 0, 5, SolveOptions{KeepDense: true})
-	if err != nil {
+	var segs []*DenseSegment
+	if _, err := s.Solve(harmonic, []float64{1, 0}, 0, 5, SolveOptions{
+		OnStep: func(seg *DenseSegment) { segs = append(segs, seg) },
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Dense) == 0 {
-		t.Fatal("no dense segments kept")
+	if len(segs) == 0 {
+		t.Fatal("no dense segments handed to OnStep")
 	}
-	for _, seg := range res.Dense {
+	for _, seg := range segs {
 		for _, th := range []float64{0.1, 0.5, 0.9} {
 			tt := seg.T0 + th*seg.H
 			v := seg.Eval(tt, nil)
@@ -155,14 +181,9 @@ func TestDOPRI5FSALConsistency(t *testing.T) {
 	// result must still match the analytic solution of y' = y² with
 	// y(0) = -1: y(t) = -1/(1+t).
 	riccati := func(_ float64, y, dydt []float64) { dydt[0] = y[0] * y[0] }
-	s := NewDOPRI5(1e-10, 1e-10)
-	res, err := s.Solve(riccati, []float64{-1}, 0, 9, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := -1.0 / 10
-	if got := last(&res.Solution)[0]; math.Abs(got-want) > 1e-8 {
-		t.Errorf("y(9) = %v, want %v", got, want)
+	got, _ := solveTo(t, NewDOPRI5(1e-10, 1e-10), riccati, []float64{-1}, 0, 9)
+	if want := -1.0 / 10; math.Abs(got[0]-want) > 1e-8 {
+		t.Errorf("y(9) = %v, want %v", got[0], want)
 	}
 }
 
@@ -196,15 +217,15 @@ func poisonOnce(k int, v float64) Func {
 func TestDOPRI5NaNFailsFast(t *testing.T) {
 	s := NewDOPRI5(1e-8, 1e-6)
 	s.H0 = 0.01
-	res, err := s.Solve(poisonOnce(7, math.NaN()), []float64{1, 2}, 0, 10, SolveOptions{})
+	st, err := s.Solve(poisonOnce(7, math.NaN()), []float64{1, 2}, 0, 10, SolveOptions{})
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
 	if !strings.Contains(err.Error(), "t=0 ") || !strings.Contains(err.Error(), "h=0.01") {
 		t.Errorf("error %q does not name t and h", err)
 	}
-	if res.Stats.Evals >= 100 {
-		t.Errorf("%d evaluations before failing, want < 100", res.Stats.Evals)
+	if st.Evals >= 100 {
+		t.Errorf("%d evaluations before failing, want < 100", st.Evals)
 	}
 
 	dde := func(tt float64, y []float64, past Past, dydt []float64) {
@@ -215,12 +236,12 @@ func TestDOPRI5NaNFailsFast(t *testing.T) {
 			dydt[1] = math.NaN()
 		}
 	}
-	res, err = NewDOPRI5(1e-8, 1e-6).SolveDDE(dde, []float64{1, 2}, 0, 10, DDEOptions{MaxDelay: 0.5})
+	st, err = NewDOPRI5(1e-8, 1e-6).SolveDDE(dde, []float64{1, 2}, 0, 10, DDEOptions{MaxDelay: 0.5})
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("SolveDDE err = %v, want ErrNonFinite", err)
 	}
-	if res.Stats.Evals >= 100 {
-		t.Errorf("SolveDDE: %d evaluations before failing, want < 100", res.Stats.Evals)
+	if st.Evals >= 100 {
+		t.Errorf("SolveDDE: %d evaluations before failing, want < 100", st.Evals)
 	}
 }
 
@@ -229,14 +250,11 @@ func TestDOPRI5NaNFailsFast(t *testing.T) {
 func TestDOPRI5InfNormRecovers(t *testing.T) {
 	s := NewDOPRI5(1e-8, 1e-6)
 	s.H0 = 0.01
-	res, err := s.Solve(poisonOnce(7, math.Inf(1)), []float64{1, 2}, 0, 1, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Rejected == 0 {
+	got, st := solveTo(t, s, poisonOnce(7, math.Inf(1)), []float64{1, 2}, 0, 1)
+	if st.Rejected == 0 {
 		t.Error("the infinite norm was not rejected")
 	}
-	if got, want := last(&res.Solution)[0], math.Exp(-1); math.Abs(got-want) > 1e-6 {
+	if got, want := got[0], math.Exp(-1); math.Abs(got-want) > 1e-6 {
 		t.Errorf("y(1) = %v, want %v", got, want)
 	}
 }
@@ -245,13 +263,9 @@ func TestDOPRI5TimeDependentRHS(t *testing.T) {
 	// y' = cos(t), y(0) = 0 → y = sin(t). Verifies t is threaded through
 	// the stages correctly (c_i coefficients).
 	f := func(tt float64, _, dydt []float64) { dydt[0] = math.Cos(tt) }
-	s := NewDOPRI5(1e-10, 1e-10)
-	res, err := s.Solve(f, []float64{0}, 0, 7, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := last(&res.Solution)[0]; math.Abs(got-math.Sin(7)) > 1e-8 {
-		t.Errorf("y(7) = %v, want sin(7) = %v", got, math.Sin(7))
+	got, _ := solveTo(t, NewDOPRI5(1e-10, 1e-10), f, []float64{0}, 0, 7)
+	if math.Abs(got[0]-math.Sin(7)) > 1e-8 {
+		t.Errorf("y(7) = %v, want sin(7) = %v", got[0], math.Sin(7))
 	}
 }
 
@@ -260,7 +274,7 @@ func BenchmarkDOPRI5Harmonic(b *testing.B) {
 	y0 := []float64{1, 0}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(harmonic, y0, 0, 10, SolveOptions{SampleTs: []float64{10}}); err != nil {
+		if _, err := s.Solve(harmonic, y0, 0, 10, SolveOptions{NSamples: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,20 +13,19 @@ func decayRHS(t float64, y, dydt []float64) {
 	}
 }
 
+// discard is a SampleFunc that drops every row.
+func discard(float64, []float64) {}
+
 // solveAllocs returns the allocation count of one Solve over [0, tEnd]
 // with nSamples output points.
 func solveAllocs(t *testing.T, tEnd float64, nSamples int) float64 {
 	t.Helper()
 	y0 := make([]float64, 32)
-	samples := make([]float64, nSamples)
-	for i := range samples {
-		samples[i] = tEnd * float64(i+1) / float64(nSamples)
-	}
 	s := NewDOPRI5(1e-8, 1e-6)
 	s.Hmax = 0.25
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.Solve(decayRHS, y0, 0, tEnd, SolveOptions{SampleTs: samples}); err != nil {
+		if _, err := s.Solve(decayRHS, y0, 0, tEnd, SolveOptions{NSamples: nSamples, SampleFunc: discard}); err != nil {
 			runErr = err
 		}
 	})
@@ -48,15 +47,11 @@ func ddeAllocs(t *testing.T, tEnd float64, nSamples int) float64 {
 		}
 	}
 	y0 := make([]float64, 16)
-	samples := make([]float64, nSamples)
-	for i := range samples {
-		samples[i] = tEnd * float64(i+1) / float64(nSamples)
-	}
 	s := NewDOPRI5(1e-8, 1e-6)
 	s.Hmax = 0.25
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.SolveDDE(f, y0, 0, tEnd, DDEOptions{SampleTs: samples, MaxDelay: tau}); err != nil {
+		if _, err := s.SolveDDE(f, y0, 0, tEnd, DDEOptions{NSamples: nSamples, SampleFunc: discard, MaxDelay: tau}); err != nil {
 			runErr = err
 		}
 	})
@@ -87,5 +82,24 @@ func TestSolveDDESteadyStateAllocs(t *testing.T) {
 	if long > base {
 		t.Fatalf("per-step allocations remain in DDE path: 50-unit solve %v allocs, 100-unit solve %v allocs",
 			base, long)
+	}
+}
+
+// TestSolveSampleFuncSteadyStateAllocs checks the sample path allocates
+// nothing per sample beyond the solver's own step machinery: a no-op sink
+// over many samples costs no more allocations than the sample count.
+func TestSolveSampleFuncSteadyStateAllocs(t *testing.T) {
+	s := NewDOPRI5(1e-8, 1e-6)
+	run := func() {
+		if _, err := s.Solve(harmonic, []float64{1, 0}, 0, 50, SolveOptions{
+			NSamples:   10001,
+			SampleFunc: discard,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the solver buffers
+	if allocs := testing.AllocsPerRun(3, run); allocs > 16 {
+		t.Errorf("streaming solve allocated %v objects per run, want ~0", allocs)
 	}
 }

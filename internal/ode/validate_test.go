@@ -1,15 +1,13 @@
 package ode
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
 
-// Regression tests for sample-plan validation: before the checks, a
-// negative NSamples silently disabled the plan (materializing every
-// accepted step), a non-increasing SampleAt dropped or duplicated rows,
-// and a plan outside [t0, t1] emitted extrapolated garbage — all without
-// any error. Each case must now fail fast with a clear message.
+// A negative NSamples is always a caller bug, never a way to spell "no
+// samples"; it fails fast with a clear message instead of integrating.
 
 func decayRHS1(_ float64, y, dydt []float64) { dydt[0] = -y[0] }
 
@@ -20,44 +18,36 @@ func delayRHS1(_ float64, y []float64, past Past, dydt []float64) {
 func TestSolveRejectsNegativeNSamples(t *testing.T) {
 	s := NewDOPRI5(1e-8, 1e-6)
 	_, err := s.Solve(decayRHS1, []float64{1}, 0, 1, SolveOptions{
-		SampleAt: func(k int) float64 { return float64(k) }, NSamples: -3,
+		NSamples: -3, SampleFunc: func(float64, []float64) {},
 	})
 	if err == nil || !strings.Contains(err.Error(), "NSamples") {
 		t.Fatalf("err = %v, want a negative-NSamples error", err)
 	}
-	// Negative NSamples is rejected even without a SampleAt plan: it is
-	// always a caller bug, never a way to spell "no plan".
+	// Rejected even without a SampleFunc.
 	if _, err := s.Solve(decayRHS1, []float64{1}, 0, 1, SolveOptions{NSamples: -1}); err == nil {
-		t.Fatal("negative NSamples without a plan accepted")
+		t.Fatal("negative NSamples without a SampleFunc accepted")
 	}
 }
 
-func TestSolveRejectsNonIncreasingPlan(t *testing.T) {
+// TestSolveRejectsEmptyInterval pins the interval checks: rows beyond
+// the initial one need t1 > t0, and a NaN end fails instead of returning
+// the initial row alone.
+func TestSolveRejectsEmptyInterval(t *testing.T) {
 	s := NewDOPRI5(1e-8, 1e-6)
-	plateau := []float64{0, 0.5, 0.5, 1}
-	if _, err := s.Solve(decayRHS1, []float64{1}, 0, 1, SolveOptions{SampleTs: plateau}); err == nil {
-		t.Fatal("plateau SampleTs accepted")
-	}
-	_, err := s.Solve(decayRHS1, []float64{1}, 0, 1, SolveOptions{
-		SampleAt: func(k int) float64 { return 0.5 - 0.1*float64(k) }, NSamples: 4,
-	})
-	if err == nil || !strings.Contains(err.Error(), "not increasing") {
-		t.Fatalf("err = %v, want a non-increasing-plan error", err)
-	}
-}
-
-func TestSolveRejectsPlanOutsideInterval(t *testing.T) {
-	s := NewDOPRI5(1e-8, 1e-6)
-	cases := []SolveOptions{
-		{SampleTs: []float64{-0.5, 0.5}},
-		{SampleTs: []float64{0.5, 1.5}},
-		{SampleAt: func(k int) float64 { return 2 * float64(k) }, NSamples: 3},
-	}
-	for i, opt := range cases {
-		_, err := s.Solve(decayRHS1, []float64{1}, 0, 1, opt)
-		if err == nil || !strings.Contains(err.Error(), "outside") {
-			t.Errorf("case %d: err = %v, want an out-of-interval error", i, err)
+	sink := func(float64, []float64) {}
+	for _, tc := range []struct {
+		t1       float64
+		nSamples int
+	}{
+		{0, 2}, {-1, 0}, {math.NaN(), 0}, {math.NaN(), 2},
+	} {
+		if _, err := s.Solve(decayRHS1, []float64{1}, 0, tc.t1, SolveOptions{NSamples: tc.nSamples, SampleFunc: sink}); err == nil {
+			t.Errorf("t1 = %v with %d samples accepted", tc.t1, tc.nSamples)
 		}
+	}
+	var out rows
+	if _, err := s.Solve(decayRHS1, []float64{1}, 0, 0, SolveOptions{NSamples: 1, SampleFunc: out.sample}); err != nil || len(out.Ts) != 1 {
+		t.Errorf("t1 = t0 with 1 sample: err %v, %d rows, want the t0 row", err, len(out.Ts))
 	}
 }
 
@@ -68,29 +58,18 @@ func TestSolveDDEValidatesPlans(t *testing.T) {
 	if _, err := s.SolveDDE(delayRHS1, []float64{1}, 0, 1, DDEOptions{NSamples: -1}); err == nil {
 		t.Error("negative NSamples accepted by SolveDDE")
 	}
-	if _, err := s.SolveDDE(delayRHS1, []float64{1}, 0, 1, DDEOptions{
-		SampleTs: []float64{0.5, 0.25},
-	}); err == nil {
-		t.Error("non-increasing SampleTs accepted by SolveDDE")
-	}
-	if _, err := s.SolveDDE(delayRHS1, []float64{1}, 0, 1, DDEOptions{
-		SampleAt: func(k int) float64 { return 1 + float64(k) }, NSamples: 2,
-	}); err == nil {
-		t.Error("out-of-interval plan accepted by SolveDDE")
-	}
 }
 
-// TestSolveAcceptsBoundarySamples pins the valid extreme: samples
-// exactly at t0 and t1 remain legal (the uniform grids core builds
-// include both endpoints).
+// TestSolveAcceptsBoundarySamples pins the extremes of the uniform plan:
+// the first row is the initial state at exactly t0 and the last row sits
+// at exactly t1, also when t0 ≠ 0 makes t0 + k·step round.
 func TestSolveAcceptsBoundarySamples(t *testing.T) {
 	s := NewDOPRI5(1e-8, 1e-6)
-	res, err := s.Solve(decayRHS1, []float64{1}, 0, 1, SolveOptions{SampleTs: []float64{0, 0.5, 1}})
-	if err != nil {
+	var out rows
+	if _, err := s.Solve(decayRHS1, []float64{1}, 0.1, 0.7, SolveOptions{NSamples: 7, SampleFunc: out.sample}); err != nil {
 		t.Fatal(err)
 	}
-	// The t0 sample is recorded by the initial row; the plan then skips it.
-	if len(res.Ts) != 3 || res.Ts[0] != 0 || res.Ts[2] != 1 {
-		t.Fatalf("Ts = %v", res.Ts)
+	if len(out.Ts) != 7 || out.Ts[0] != 0.1 || out.Ts[6] != 0.7 || out.Ys[0][0] != 1 {
+		t.Fatalf("Ts = %v, Ys = %v", out.Ts, out.Ys)
 	}
 }

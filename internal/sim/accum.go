@@ -102,8 +102,7 @@ func (a *SpreadAccumulator) Asymptotic() float64 {
 
 // OrderAccumulator computes the Kuramoto order parameter r(t) online —
 // per sample identical to core.Result.OrderTimeline. Its Asymptotic value
-// is the one implementation of kuramoto.Result.AsymptoticOrder, which
-// replays its rows through it; the tests pin it bit for bit to the
+// is the r∞ of kuramoto.SweepCoupling; the tests pin it bit for bit to the
 // trajectory-walking oracle (same additions in the same order over the
 // same window).
 type OrderAccumulator struct {

@@ -27,18 +27,19 @@
 //
 // # Streaming
 //
-// Run materializes a trajectory; RunStream emits the identical rows to a
-// Sink from reused buffers, so memory is independent of the sample
-// count. The accumulator sinks (SpreadAccumulator, OrderAccumulator,
-// ResyncDetector, GapAccumulator, LockAccumulator) reduce a stream to
-// O(N) summaries; RunSummary / RunSummaryTo bundle them into the standard
-// Summary, optionally teeing extra sinks (an archive.RecordWriter, a
+// RunStream emits the sample rows to a Sink from reused buffers, so
+// memory is independent of the sample count; Run is a RunStream into a
+// sink that records every row, so there is one sample path. The
+// accumulator sinks (SpreadAccumulator, OrderAccumulator, ResyncDetector,
+// GapAccumulator, LockAccumulator) reduce a stream to O(N) summaries;
+// RunSummary / RunSummaryTo bundle them into the standard Summary,
+// optionally teeing extra sinks (an archive.RecordWriter, a
 // continuum.FrontTracker, a kuramoto.SlipCounter) into the same single
 // pass. The sinks are the one implementation of each run metric: the
 // materialized Result metrics of core, kuramoto and continuum replay
 // their rows through them with Replay, and the tests pin every sink bit
-// for bit to a trajectory-walking oracle. Bitwise determinism is the load-bearing invariant: streamed rows
-// equal materialized rows, parallel right-hand sides equal serial ones,
+// for bit to a trajectory-walking oracle. Bitwise determinism is the
+// load-bearing invariant: parallel right-hand sides equal serial ones,
 // and resumed archives equal uninterrupted ones.
 //
 // # Parallelism

@@ -131,8 +131,10 @@ func TestRunStreamValidation(t *testing.T) {
 	if _, err := RunStream(o, 1, 5, nil); err == nil {
 		t.Error("want error for nil sink")
 	}
-	if _, err := RunStream(o, 0, 5, SinkFunc(func(float64, []float64) {})); err == nil {
-		t.Error("want error for tEnd <= 0")
+	for _, tEnd := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := RunStream(o, tEnd, 5, SinkFunc(func(float64, []float64) {})); err == nil {
+			t.Errorf("want error for tEnd = %v", tEnd)
+		}
 	}
 	if _, err := Run(o, 0, 5); err == nil {
 		t.Error("want error for tEnd <= 0")
@@ -194,8 +196,8 @@ func TestRunSummaryMatchesAccumulators(t *testing.T) {
 }
 
 // TestOrderAccumulatorAsymptoticWindow pins the Asymptotic window against
-// the materialized forward sum it replaces (kuramoto.Result.
-// AsymptoticOrder): same start index, same addition order.
+// the materialized forward sum over the retained timeline: same start
+// index, same addition order.
 func TestOrderAccumulatorAsymptoticWindow(t *testing.T) {
 	o := &osc{n: 5}
 	acc := &OrderAccumulator{FinalFraction: 0.25, KeepTimeline: true}
