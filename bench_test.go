@@ -621,7 +621,9 @@ func BenchmarkSweepBytesPerPoint(b *testing.B) {
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
 			for i := 0; i < b.N; i++ {
-				pts, err := sweep.Run(context.Background(), sigmas, 4,
+				results := make([]*core.Result, nPoints)
+				err := sweep.RunReduce(context.Background(), nPoints, 4,
+					func(i int) float64 { return sigmas[i] },
 					func(_ context.Context, sigma float64) (*core.Result, error) {
 						cfg, err := benchSweepConfig(sigma)
 						if err != nil {
@@ -632,15 +634,16 @@ func BenchmarkSweepBytesPerPoint(b *testing.B) {
 							return nil, err
 						}
 						return m.Run(60, nSamples)
-					})
+					},
+					func(i int, _ float64, r *core.Result) { results[i] = r })
 				if err != nil {
 					b.Fatal(err)
 				}
 				// Touch the retained trajectories like a post-processing
 				// pass would.
-				for _, pt := range pts {
-					if len(pt.Result.Theta) != nSamples {
-						b.Fatalf("point %d: %d rows", pt.Index, len(pt.Result.Theta))
+				for i, r := range results {
+					if len(r.Theta) != nSamples {
+						b.Fatalf("point %d: %d rows", i, len(r.Theta))
 					}
 				}
 			}

@@ -43,7 +43,6 @@ import (
 	"math"
 
 	"repro/internal/mathx"
-	"repro/internal/ode"
 	"repro/internal/potential"
 	"repro/internal/sim"
 )
@@ -125,19 +124,12 @@ func (f *Field) Diffusivity() float64 {
 	return f.K * f.Grid.A * f.Grid.A * dv0
 }
 
-// Result is a completed continuum integration.
-type Result struct {
-	Grid  Grid
-	Ts    []float64
-	Theta [][]float64
-	Stats ode.Stats
-}
-
 // FieldSystem is a Field bound to an initial state — the sim.System view
-// of the continuum model that Solve, sim.RunStream, and the scenario
-// registry integrate through the unified runtime. It owns its coupling
-// kernel and scratch, so several systems built from one Field may run
-// concurrently; a single FieldSystem is not safe for concurrent use.
+// of the continuum model, and the only way to run it: sim.RunStream and
+// the scenario registry integrate it through the unified runtime. It
+// owns its coupling kernel and scratch, so several systems built from one
+// Field may run concurrently; a single FieldSystem is not safe for
+// concurrent use.
 type FieldSystem struct {
 	f      *Field
 	theta0 []float64
@@ -239,86 +231,4 @@ func (s *FieldSystem) Eval(t float64, y, dydt []float64) {
 // fields just as the discrete model does.
 func (s *FieldSystem) Solver() sim.Solver {
 	return sim.Solver{Atol: s.f.Atol, Rtol: s.f.Rtol, Hmax: 0.25}
-}
-
-// Solve integrates the field from theta0 over [0, tEnd] with nSamples
-// uniform output samples through the unified sim runtime.
-func (f *Field) Solve(theta0 []float64, tEnd float64, nSamples int) (*Result, error) {
-	sys, err := f.System(theta0)
-	if err != nil {
-		return nil, err
-	}
-	if tEnd <= 0 {
-		return nil, errors.New("continuum: tEnd must be positive")
-	}
-	res, err := sim.Run(sys, tEnd, nSamples)
-	if err != nil {
-		return nil, fmt.Errorf("continuum: %w", err)
-	}
-	return &Result{Grid: f.Grid, Ts: res.Ts, Theta: res.Ys, Stats: res.Stats}, nil
-}
-
-// Lag returns ω̄·t − θ(x, t) at sample k for the constant-ω case: the
-// local delay field whose spreading is the continuum idle wave.
-func (r *Result) Lag(k int, omegaBar float64) []float64 {
-	out := make([]float64, len(r.Theta[k]))
-	for i, th := range r.Theta[k] {
-		out[i] = omegaBar*r.Ts[k] - th
-	}
-	return out
-}
-
-// GradientField returns the adjacent gap field θ(x+a) − θ(x) at sample k
-// (forward differences, M−1 values): the continuum analogue of the
-// adjacent phase gap. Forward differences are essential here — the
-// anti-diffusive instability grows fastest at the zone boundary
-// (wavelength 2a, the zigzag state), which a central difference reads as
-// zero.
-func (r *Result) GradientField(k int) []float64 {
-	th := r.Theta[k]
-	out := make([]float64, len(th)-1)
-	for i := 0; i+1 < len(th); i++ {
-		out[i] = th[i+1] - th[i]
-	}
-	return out
-}
-
-// SpreadTimeline returns max θ − min θ at every sample.
-func (r *Result) SpreadTimeline() []float64 {
-	out := make([]float64, len(r.Theta))
-	for k, th := range r.Theta {
-		lo, hi, err := mathx.MinMax(th)
-		if err == nil {
-			out[k] = hi - lo
-		}
-	}
-	return out
-}
-
-// SecondMoment returns the variance of the lag distribution at sample k
-// treating the (nonnegative) lag as a mass density — for a diffusing
-// delay packet it grows as 2Dt, the textbook heat-kernel check.
-func (r *Result) SecondMoment(k int, omegaBar float64) float64 {
-	lag := r.Lag(k, omegaBar)
-	var mass, mean float64
-	for i, v := range lag {
-		if v < 0 {
-			v = 0
-		}
-		mass += v
-		mean += v * r.Grid.X(i)
-	}
-	if mass <= 0 {
-		return 0
-	}
-	mean /= mass
-	var m2 float64
-	for i, v := range lag {
-		if v < 0 {
-			v = 0
-		}
-		d := r.Grid.X(i) - mean
-		m2 += v * d * d
-	}
-	return m2 / mass
 }

@@ -48,19 +48,77 @@ func TestDiffusivitySign(t *testing.T) {
 	}
 }
 
+// TestSolveValidation checks both places a field run is refused: System
+// rejects a mismatched initial state and a nil potential, and the
+// runtime rejects a non-positive horizon.
 func TestSolveValidation(t *testing.T) {
 	f := Field{Grid: Grid{M: 8, A: 1}, Potential: potential.Tanh{}, K: 1}
-	if _, err := f.Solve(make([]float64, 4), 1, 10); err == nil {
+	if _, err := f.System(make([]float64, 4)); err == nil {
 		t.Error("want length-mismatch error")
 	}
-	if _, err := f.Solve(make([]float64, 8), 0, 10); err == nil {
+	discard := sim.SinkFunc(func(float64, []float64) {})
+	if err := runStream(&f, make([]float64, 8), 0, 10, discard); err == nil {
 		t.Error("want tEnd error")
 	}
 	bad := f
 	bad.Potential = nil
-	if _, err := bad.Solve(make([]float64, 8), 1, 10); err == nil {
+	if _, err := bad.System(make([]float64, 8)); err == nil {
 		t.Error("want nil-potential error")
 	}
+}
+
+// solve integrates f from theta0 through the shared runtime and returns
+// the recorded rows.
+func solve(t *testing.T, f *Field, theta0 []float64, tEnd float64, nSamples int) *sim.Result {
+	t.Helper()
+	sys, err := f.System(theta0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(sys, tEnd, nSamples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// lagField returns ω̄·t − θ(x, t) of the row sampled at t for the
+// constant-ω case: the local delay field whose spreading is the
+// continuum idle wave.
+func lagField(t float64, row []float64, omegaBar float64) []float64 {
+	out := make([]float64, len(row))
+	for i, th := range row {
+		out[i] = omegaBar*t - th
+	}
+	return out
+}
+
+// secondMoment returns the variance of the lag distribution of the row
+// sampled at t, treating the (nonnegative) lag as a mass density — for a
+// diffusing delay packet it grows as 2Dt, the textbook heat-kernel check.
+func secondMoment(g Grid, t float64, row []float64, omegaBar float64) float64 {
+	lag := lagField(t, row, omegaBar)
+	var mass, mean float64
+	for i, v := range lag {
+		if v < 0 {
+			v = 0
+		}
+		mass += v
+		mean += v * g.X(i)
+	}
+	if mass <= 0 {
+		return 0
+	}
+	mean /= mass
+	var m2 float64
+	for i, v := range lag {
+		if v < 0 {
+			v = 0
+		}
+		d := g.X(i) - mean
+		m2 += v * d * d
+	}
+	return m2 / mass
 }
 
 // TestHeatKernelSpreading verifies the linear PDE against the textbook
@@ -77,12 +135,10 @@ func TestHeatKernelSpreading(t *testing.T) {
 		x := g.X(i) - g.X(g.M/2)
 		theta0[i] = -2 * math.Exp(-x*x/(2*4)) // lag packet, var₀ = 4
 	}
-	res, err := f.Solve(theta0, 20, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m0 := res.SecondMoment(0, mathx.TwoPi)
-	mEnd := res.SecondMoment(len(res.Ts)-1, mathx.TwoPi)
+	res := solve(t, &f, theta0, 20, 5)
+	last := len(res.Ts) - 1
+	m0 := secondMoment(g, res.Ts[0], res.Ys[0], mathx.TwoPi)
+	mEnd := secondMoment(g, res.Ts[last], res.Ys[last], mathx.TwoPi)
 	growth := mEnd - m0
 	want := 2 * d * 20
 	if math.Abs(growth-want)/want > 0.15 {
@@ -101,11 +157,11 @@ func TestLinearContinuumFlattens(t *testing.T) {
 	for i := range theta0 {
 		theta0[i] = math.Sin(2 * math.Pi * float64(i) / float64(g.M))
 	}
-	res, err := f.Solve(theta0, 50, 11)
-	if err != nil {
+	acc := &sim.SpreadAccumulator{KeepTimeline: true}
+	if err := runStream(&f, theta0, 50, 11, acc); err != nil {
 		t.Fatal(err)
 	}
-	spread := res.SpreadTimeline()
+	spread := acc.Timeline
 	if spread[0] < 1.9 {
 		t.Fatalf("initial spread = %v", spread[0])
 	}
@@ -125,11 +181,8 @@ func TestNonlinearMatchesLinearForSmallGradients(t *testing.T) {
 	}
 	run := func(linear bool) []float64 {
 		f := Field{Grid: g, Potential: potential.Tanh{}, K: 2, Linear: linear}
-		res, err := f.Solve(theta0, 5, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Theta[len(res.Theta)-1]
+		res := solve(t, &f, theta0, 5, 3)
+		return res.Ys[len(res.Ys)-1]
 	}
 	lin := run(true)
 	non := run(false)
@@ -154,14 +207,13 @@ func TestAntiDiffusionSelectsGradient(t *testing.T) {
 		// Small deterministic seed perturbation.
 		theta0[i] = 0.01 * math.Sin(7*float64(i))
 	}
-	res, err := f.Solve(theta0, 400, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grad := res.GradientField(len(res.Ts) - 1)
+	res := solve(t, &f, theta0, 400, 9)
+	// Forward differences: the instability grows fastest at the zone
+	// boundary (the zigzag state), which a central difference reads as 0.
+	th := res.Ys[len(res.Ys)-1]
 	want := pot.StableZero()
-	for i, gp := range grad {
-		if math.Abs(math.Abs(gp)-want) > 0.15 {
+	for i := 0; i+1 < len(th); i++ {
+		if gp := th[i+1] - th[i]; math.Abs(math.Abs(gp)-want) > 0.15 {
 			t.Errorf("gap at %d = %v, want ±%v", i, gp, want)
 		}
 	}
@@ -174,10 +226,7 @@ func TestDelayPacketDiffusesNotBallistic(t *testing.T) {
 	f := Field{Grid: g, Potential: potential.Tanh{}, K: 2, Linear: true}
 	theta0 := make([]float64, g.M)
 	theta0[g.M/2] = -5 // point lag
-	res, err := f.Solve(theta0, 64, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, &f, theta0, 64, 17)
 	// Width (sqrt of second moment) at t=16 and t=64 should scale by ≈2
 	// (√4), not 4 (ballistic).
 	kAt := func(tt float64) int {
@@ -188,8 +237,8 @@ func TestDelayPacketDiffusesNotBallistic(t *testing.T) {
 		}
 		return len(res.Ts) - 1
 	}
-	w16 := math.Sqrt(res.SecondMoment(kAt(16), mathx.TwoPi))
-	w64 := math.Sqrt(res.SecondMoment(kAt(64), mathx.TwoPi))
+	width := func(k int) float64 { return math.Sqrt(secondMoment(g, res.Ts[k], res.Ys[k], mathx.TwoPi)) }
+	w16, w64 := width(kAt(16)), width(kAt(64))
 	ratio := w64 / w16
 	if ratio < 1.6 || ratio > 2.4 {
 		t.Errorf("width ratio = %v, want ≈ 2 (diffusive √t scaling)", ratio)
@@ -209,11 +258,9 @@ func TestOmegaFieldInjectsDelay(t *testing.T) {
 			return mathx.TwoPi
 		},
 	}
-	res, err := f.Solve(make([]float64, g.M), 10, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lag := res.Lag(len(res.Ts)-1, mathx.TwoPi)
+	res := solve(t, &f, make([]float64, g.M), 10, 11)
+	last := len(res.Ts) - 1
+	lag := lagField(res.Ts[last], res.Ys[last], mathx.TwoPi)
 	if lag[16] <= lag[0] {
 		t.Errorf("slow region lag %v not above far-field %v", lag[16], lag[0])
 	}
@@ -233,7 +280,7 @@ func TestValidationRejectsNonFinite(t *testing.T) {
 	g := Grid{M: 8, A: 1}
 	for _, k := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f := Field{Grid: g, Potential: potential.Tanh{}, K: k}
-		if _, err := f.Solve(make([]float64, 8), 1, 5); err == nil {
+		if _, err := f.System(make([]float64, 8)); err == nil {
 			t.Errorf("want error for coupling %v", k)
 		}
 	}
@@ -250,10 +297,11 @@ func runStream(f *Field, theta0 []float64, tEnd float64, nSamples int, sink sim.
 	return err
 }
 
-// TestSolveStreamMatchesSolve pins the unified-runtime port: the rows
-// streamed through sim.RunStream are bit-for-bit the rows Solve
-// materializes, and the shared SpreadAccumulator timeline reproduces
-// SpreadTimeline exactly.
+// TestSolveStreamMatchesSolve pins the unified runtime on continuum rows:
+// the rows streamed through sim.RunStream are bit-for-bit the rows
+// sim.Run records from a second system built from the same field, and the
+// shared SpreadAccumulator timeline is max θ − min θ of each recorded row
+// exactly.
 func TestSolveStreamMatchesSolve(t *testing.T) {
 	g := Grid{M: 24, A: 1, Periodic: true}
 	f := Field{Grid: g, Potential: potential.Tanh{}, K: 2, Linear: true}
@@ -261,18 +309,15 @@ func TestSolveStreamMatchesSolve(t *testing.T) {
 	for i := range theta0 {
 		theta0[i] = math.Sin(2 * math.Pi * float64(i) / float64(g.M))
 	}
-	res, err := f.Solve(theta0, 12, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solve(t, &f, theta0, 12, 25)
 	spread := &sim.SpreadAccumulator{KeepTimeline: true}
 	k := 0
-	err = runStream(&f, theta0, 12, 25, sim.Tee(spread, sim.SinkFunc(func(tt float64, y []float64) {
+	err := runStream(&f, theta0, 12, 25, sim.Tee(spread, sim.SinkFunc(func(tt float64, y []float64) {
 		if math.Float64bits(tt) != math.Float64bits(res.Ts[k]) {
 			t.Fatalf("sample %d time %v differs from materialized %v", k, tt, res.Ts[k])
 		}
 		for i := range y {
-			if math.Float64bits(y[i]) != math.Float64bits(res.Theta[k][i]) {
+			if math.Float64bits(y[i]) != math.Float64bits(res.Ys[k][i]) {
 				t.Fatalf("sample %d component %d differs", k, i)
 			}
 		}
@@ -284,13 +329,16 @@ func TestSolveStreamMatchesSolve(t *testing.T) {
 	if k != len(res.Ts) {
 		t.Fatalf("streamed %d rows, materialized %d", k, len(res.Ts))
 	}
-	want := res.SpreadTimeline()
-	if len(spread.Timeline) != len(want) {
-		t.Fatalf("spread timeline %d entries, want %d", len(spread.Timeline), len(want))
+	if len(spread.Timeline) != len(res.Ys) {
+		t.Fatalf("spread timeline %d entries, want %d", len(spread.Timeline), len(res.Ys))
 	}
-	for i := range want {
-		if math.Float64bits(spread.Timeline[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("spread[%d] differs: %v vs %v", i, spread.Timeline[i], want[i])
+	for i, row := range res.Ys {
+		lo, hi, err := mathx.MinMax(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(spread.Timeline[i]) != math.Float64bits(hi-lo) {
+			t.Fatalf("spread[%d] differs: %v vs %v", i, spread.Timeline[i], hi-lo)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -26,9 +25,10 @@ type Front struct {
 
 // frontPosition returns the position of the rightmost forward pair whose
 // gap magnitude |θ(x+a) − θ(x)| exceeds eps — the midpoint of the pair —
-// or NaN when the field is everywhere flatter than eps. Forward pairs
-// mirror Result.GradientField (no periodic wrap pair), so the tracker
-// and the materialized gradient views agree on what counts as steep.
+// or NaN when the field is everywhere flatter than eps. Only forward
+// pairs count (no periodic wrap pair): the anti-diffusive instability
+// grows fastest at the zone boundary (wavelength 2a, the zigzag state),
+// which a central difference reads as zero.
 func frontPosition(g Grid, th []float64, eps float64) float64 {
 	for i := len(th) - 2; i >= 0; i-- {
 		if math.Abs(th[i+1]-th[i]) > eps {
@@ -65,39 +65,13 @@ func measureFront(ts, positions []float64) (Front, error) {
 	return f, nil
 }
 
-// FrontTimeline returns the per-sample front position of the result
-// (NaN where no gap exceeds eps; 0 selects 0.15).
-func (r *Result) FrontTimeline(eps float64) []float64 {
-	if eps <= 0 {
-		eps = 0.15
-	}
-	out := make([]float64, len(r.Theta))
-	for k, th := range r.Theta {
-		out[k] = frontPosition(r.Grid, th, eps)
-	}
-	return out
-}
-
-// MeasureFront measures the computational wavefront of a materialized
-// continuum result: per sample the rightmost steep forward pair
-// (threshold eps; 0 selects 0.15), then a position-vs-time line fit. The
-// rows replay through FrontTracker, the metric's one implementation.
-func (r *Result) MeasureFront(eps float64) (Front, error) {
-	if len(r.Ts) != len(r.Theta) {
-		return Front{}, errors.New("continuum: ts and rows length mismatch")
-	}
-	f := &FrontTracker{Grid: r.Grid, Eps: eps}
-	sim.Replay(f, r.Ts, r.Theta)
-	return f.Finish()
-}
-
 // FrontTracker measures the continuum wavefront online, analogous to
 // core.WaveDetector: each sample row is reduced to one front position as
 // it streams by, so no trajectory is ever materialized. Memory is
 // O(nSamples) scalars (two floats per sample), independent of the grid
-// size M. It is the one implementation of the front metric:
-// Result.MeasureFront replays its rows through it, and the tests pin it
-// bit for bit to a trajectory-walking oracle on continuum and POM rows.
+// size M. It is the one implementation of the front metric, and the
+// tests pin it bit for bit to a trajectory-walking oracle on continuum
+// and POM rows.
 //
 // The zero value tracks on a unit-spacing grid adopted from the stream
 // width at Begin — the right reading for discrete families (one rank

@@ -35,11 +35,8 @@ func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 	const tEnd, nSamples, eps = 30.0, 121, 0.15
 	f, theta0 := frontField()
 
-	res, err := f.Solve(theta0, tEnd, nSamples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := MeasureFrontRows(res.Grid, res.Ts, res.Theta, eps)
+	res := solve(t, f, theta0, tEnd, nSamples)
+	want, err := MeasureFrontRows(f.Grid, res.Ts, res.Ys, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +68,6 @@ func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
 	} {
 		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
 			t.Errorf("%s: streamed %v, materialized %v", name, pair[0], pair[1])
-		}
-	}
-	// The timeline view agrees with the fitted positions.
-	tl := res.FrontTimeline(eps)
-	for k := range tl {
-		if math.Float64bits(tl[k]) != math.Float64bits(want.Positions[k]) {
-			t.Fatalf("FrontTimeline diverges at %d", k)
 		}
 	}
 }

@@ -4,12 +4,13 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// The trajectory-walking body of Result.MeasureFront, kept verbatim from
-// before the metric replayed its rows through FrontTracker. It shares
-// frontPosition and measureFront with the tracker, and the tracker is
-// pinned against it bit for bit.
+// The trajectory-walking front measurement, kept from before the metric
+// became a streaming sink. It shares frontPosition and measureFront with
+// the tracker, and the tracker is pinned against it bit for bit.
 
 // MeasureFrontRows measures the front over materialized sample rows on
 // the given grid: per row the rightmost steep forward pair (threshold
@@ -31,28 +32,26 @@ func MeasureFrontRows(g Grid, ts []float64, rows [][]float64, eps float64) (Fron
 	return measureFront(append([]float64(nil), ts...), positions)
 }
 
-// TestResultMetricsMatchOracles compares MeasureFront, which replays its
-// rows through FrontTracker, with the trajectory-walking MeasureFrontRows
-// oracle bit for bit, error values included, for thresholds 0 (the 0.15
-// default), 0.15 and 1 on a developing front, one sample, no samples and
-// mismatched sample times.
+// TestResultMetricsMatchOracles replays recorded rows through
+// FrontTracker and compares the result with the trajectory-walking
+// MeasureFrontRows oracle bit for bit, error values included, for
+// thresholds 0 (the 0.15 default), 0.15 and 1 on a developing front, one
+// sample and no samples.
 func TestResultMetricsMatchOracles(t *testing.T) {
 	f, theta0 := frontField()
-	run, err := f.Solve(theta0, 30, 121)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := map[string]*Result{
-		"front-run":      run,
-		"one-sample":     {Grid: run.Grid, Ts: run.Ts[:1], Theta: run.Theta[:1]},
-		"empty":          {Grid: run.Grid},
-		"ts-rows-differ": {Grid: run.Grid, Ts: run.Ts[:2], Theta: run.Theta[:1]},
+	run := solve(t, f, theta0, 30, 121)
+	results := map[string]*sim.Result{
+		"front-run":  run,
+		"one-sample": {Ts: run.Ts[:1], Ys: run.Ys[:1]},
+		"empty":      {},
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for name, r := range results {
 		for _, eps := range []float64{0, 0.15, 1} {
-			got, gotErr := r.MeasureFront(eps)
-			want, wantErr := MeasureFrontRows(r.Grid, r.Ts, r.Theta, eps)
+			tracker := &FrontTracker{Grid: f.Grid, Eps: eps}
+			sim.Replay(tracker, r.Ts, r.Ys)
+			got, gotErr := tracker.Finish()
+			want, wantErr := MeasureFrontRows(f.Grid, r.Ts, r.Ys, eps)
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Errorf("%s eps=%v: error %v, oracle %v", name, eps, gotErr, wantErr)
 			}

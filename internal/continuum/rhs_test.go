@@ -126,10 +126,7 @@ func TestEvalZeroAllocs(t *testing.T) {
 func TestSystemsFromOneFieldRunConcurrently(t *testing.T) {
 	f := &Field{Grid: Grid{M: 48, A: 1}, Potential: potential.NewDesync(1.2), K: 2}
 	th0 := pulseState(f.Grid, 2)
-	want, err := f.Solve(th0, 10, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := solve(t, f, th0, 10, 21)
 	var wg sync.WaitGroup
 	results := make([]*sim.Result, 2)
 	errs := make([]error, 2)
@@ -152,8 +149,8 @@ func TestSystemsFromOneFieldRunConcurrently(t *testing.T) {
 		if res.Stats != want.Stats {
 			t.Fatalf("system %d: stats %+v, serial %+v", w, res.Stats, want.Stats)
 		}
-		for k := range want.Theta {
-			for i, v := range want.Theta[k] {
+		for k := range want.Ys {
+			for i, v := range want.Ys[k] {
 				if math.Float64bits(res.Ys[k][i]) != math.Float64bits(v) {
 					t.Fatalf("system %d sample %d point %d: %v, serial %v", w, k, i, res.Ys[k][i], v)
 				}

@@ -412,9 +412,6 @@ func (m *Model) Release() {
 // Run integrates the model from t = 0 to tEnd, sampling nSamples points
 // uniformly (including both endpoints).
 func (m *Model) Run(tEnd float64, nSamples int) (*Result, error) {
-	if tEnd <= 0 {
-		return nil, errors.New("core: tEnd must be positive")
-	}
 	res, err := sim.Run(m, tEnd, nSamples)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/noise"
@@ -376,8 +377,12 @@ func TestLocalNoiseJitterKeepsSystemBounded(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	m, _ := New(baseConfig(t, 4))
-	if _, err := m.Run(0, 10); err == nil {
-		t.Error("want error for tEnd <= 0")
+	for _, tEnd := range []float64{0, -1, math.NaN()} {
+		if _, err := m.Run(tEnd, 10); err == nil {
+			t.Errorf("tEnd %v: want an error", tEnd)
+		} else if !strings.HasPrefix(err.Error(), "core: ") {
+			t.Errorf("tEnd %v: error %q lacks the core: prefix", tEnd, err)
+		}
 	}
 }
 

@@ -34,13 +34,13 @@ func CollectiveBarrier() (*E9Result, error) {
 	k := kernels.Pisolver()
 
 	arrivalSpread := func(progs []cluster.Program) (spreadIters float64, reached int, err error) {
-		sim, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, cluster.Options{
+		engine, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, cluster.Options{
 			Delays: []cluster.DelayInjection{{Rank: n / 2, Iter: delayIter, Extra: 10 * k.CoreSeconds}},
 		})
 		if err != nil {
 			return 0, 0, err
 		}
-		out, err := sim.Run()
+		out, err := engine.Run()
 		if err != nil {
 			return 0, 0, err
 		}

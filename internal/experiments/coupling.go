@@ -8,6 +8,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -78,11 +79,14 @@ func WaveSpeedVsCoupling(betaKappas []float64) (*E5Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := m.Run(120, 1201)
+		wave, err := core.NewWaveDetector(m, n/2, 10, 0.15)
 		if err != nil {
 			return nil, err
 		}
-		if wf, err := out.MeasureWave(n/2, 10, 0.15); err == nil && wf.Reached >= n/3 {
+		if _, err := sim.RunStream(m, 120, 1201, wave); err != nil {
+			return nil, err
+		}
+		if wf, err := wave.Finish(); err == nil && wf.Reached >= n/3 {
 			pt.Speed = wf.SpeedRanksPerPeriod
 			pt.R2 = wf.R2
 			pt.Propagated = true
@@ -130,13 +134,13 @@ func mpiWaveSpeed(offsets []int, msgBytes float64, label string, bk float64) (*E
 		return nil, err
 	}
 	delayIter := iters / 6
-	sim, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, cluster.Options{
+	engine, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, cluster.Options{
 		Delays: []cluster.DelayInjection{{Rank: n / 2, Iter: delayIter, Extra: 10 * k.CoreSeconds}},
 	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := sim.Run()
+	out, err := engine.Run()
 	if err != nil {
 		return nil, err
 	}

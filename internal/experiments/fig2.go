@@ -144,7 +144,7 @@ func runFig2MPI(p Fig2Params) (*MPIPanel, error) {
 	}
 	sockets := (p.N + 9) / 10
 	delayIter := p.Iters / 8
-	sim, err := cluster.NewSim(cluster.Meggie(sockets), progs, cluster.Options{
+	engine, err := cluster.NewSim(cluster.Meggie(sockets), progs, cluster.Options{
 		Delays: []cluster.DelayInjection{{
 			Rank:  p.DelayRank,
 			Iter:  delayIter,
@@ -154,7 +154,7 @@ func runFig2MPI(p Fig2Params) (*MPIPanel, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -266,16 +266,13 @@ func Fig2All() ([]Fig2Row, error) {
 		DefaultFig2([]int{-2, -1, 1}, true),  // (c)
 		DefaultFig2([]int{-2, -1, 1}, false), // (d)
 	}
-	points, err := sweep.Run(context.Background(), cases, 0,
-		func(_ context.Context, p Fig2Params) (Fig2Row, error) {
-			row, err := RunFig2Panel(p)
-			if err != nil {
-				return Fig2Row{}, err
-			}
-			return *row, nil
-		})
+	rows := make([]Fig2Row, len(cases))
+	err := sweep.RunReduce(context.Background(), len(cases), 0,
+		func(i int) Fig2Params { return cases[i] },
+		func(_ context.Context, p Fig2Params) (*Fig2Row, error) { return RunFig2Panel(p) },
+		func(i int, _ Fig2Params, row *Fig2Row) { rows[i] = *row })
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Results(points)
+	return rows, nil
 }

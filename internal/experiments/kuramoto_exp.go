@@ -8,6 +8,7 @@ import (
 	"repro/internal/kuramoto"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -32,10 +33,10 @@ type E7Result struct {
 }
 
 // KuramotoBaseline runs the plain-Kuramoto phenomenology the paper argues
-// cannot describe parallel programs. The coupling transition sweeps
-// through the unified sim runtime (kuramoto.SweepCoupling streams each
-// point through the shared OrderAccumulator); only the phase-slip count,
-// which needs the full trajectory, still materializes a run.
+// cannot describe parallel programs. Every run streams through the
+// unified sim runtime: kuramoto.SweepCoupling feeds each coupling point
+// to the shared OrderAccumulator, the weak-coupling run to a
+// kuramoto.SlipCounter, and the POM arrival runs to a core.WaveDetector.
 func KuramotoBaseline(ks []float64) (*E7Result, error) {
 	base := kuramoto.Config{N: 150, FreqMean: 0, FreqStd: 1, Seed: 11, SpreadInitial: true}
 	trans, err := kuramoto.SweepCoupling(base, ks, 40)
@@ -54,11 +55,11 @@ func KuramotoBaseline(ks []float64) (*E7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	wrun, err := wm.Run(100, 501)
-	if err != nil {
+	slips := &kuramoto.SlipCounter{}
+	if _, err := sim.RunStream(wm, 100, 501, slips); err != nil {
 		return nil, err
 	}
-	res.WeakCouplingSlips = wrun.PhaseSlips()
+	res.WeakCouplingSlips = slips.Slips()
 
 	// All-to-all vs ±1 wave arrival spread in the POM.
 	spread := func(tp *topology.Topology) (float64, error) {
@@ -74,15 +75,18 @@ func KuramotoBaseline(ks []float64) (*E7Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		out, err := mm.Run(80, 801)
+		wave, err := core.NewWaveDetector(mm, tp.N/2, 10, 0.15)
 		if err != nil {
+			return 0, err
+		}
+		if _, err := sim.RunStream(mm, 80, 801, wave); err != nil {
 			return 0, err
 		}
 		// The arrival times themselves are the signal here; the linear
 		// speed fit legitimately degenerates under all-to-all coupling
 		// (every rank is hit in the same instant), so fit errors are
 		// ignored as long as arrivals were detected.
-		wf, _ := out.MeasureWave(tp.N/2, 10, 0.15)
+		wf, _ := wave.Finish()
 		lo, hi := math.Inf(1), math.Inf(-1)
 		found := 0
 		for i, a := range wf.ArrivalTime {

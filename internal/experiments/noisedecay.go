@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -105,11 +106,11 @@ func mpiNoiseDecay(pt *E8Point) error {
 			return amp * float64(h>>11) / (1 << 53)
 		}
 	}
-	sim, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, opts)
+	engine, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, opts)
 	if err != nil {
 		return err
 	}
-	out, err := sim.Run()
+	out, err := engine.Run()
 	if err != nil {
 		return err
 	}
@@ -183,33 +184,30 @@ func modelNoiseDecay(pt *E8Point) error {
 	if err != nil {
 		return err
 	}
-	out, err := m.Run(150, 1501)
-	if err != nil {
-		return err
-	}
 
-	// Peak lag excess per rank relative to the pre-delay baseline.
+	// Peak lag excess per rank relative to the pre-delay baseline: the
+	// lag at the last sample before the delay starts at t = 20.
 	omega := m.Omega()
-	k0 := 0
-	for k, ts := range out.Ts {
-		if ts >= 20 {
-			break
-		}
-		k0 = k
-	}
 	amp := make([]float64, n)
 	base := make([]float64, n)
-	for i := 0; i < n; i++ {
-		base[i] = omega*out.Ts[k0] - out.Theta[k0][i]
-	}
-	for k := k0 + 1; k < len(out.Ts); k++ {
+	peak := sim.SinkFunc(func(t float64, theta []float64) {
+		if t < 20 {
+			for i := 0; i < n; i++ {
+				base[i] = omega*t - theta[i]
+			}
+			return
+		}
 		for i := 0; i < n; i++ {
-			lag := omega*out.Ts[k] - out.Theta[k][i]
+			lag := omega*t - theta[i]
 			if ex := lag - base[i]; ex > amp[i] {
 				amp[i] = ex
 			}
 		}
+	})
+	if _, err := sim.RunStream(m, 150, 1501, peak); err != nil {
+		return err
 	}
+
 	var dists, byDist []float64
 	for d := 1; d <= n/2-1; d++ {
 		a := (amp[n/2-d] + amp[n/2+d]) / 2

@@ -10,10 +10,11 @@
 // like a per-period barrier, phase slips are possible, and spontaneous
 // desynchronization of bottlenecked programs cannot occur.
 //
-// Model implements sim.System, so Kuramoto runs route through the same
-// unified runtime as the POM core: sim.RunStream drives the shared
-// accumulator sinks, and the sweep/archive machinery (sweep.RunReduce,
-// sweep.RunArchive) works over Kuramoto points unchanged.
+// Model implements sim.System and has no run method of its own: Kuramoto
+// runs go through the same unified runtime as the POM core. sim.RunStream
+// drives the shared accumulator sinks and SlipCounter, and the
+// sweep/archive machinery (sweep.RunReduce, sweep.RunArchive) works over
+// Kuramoto points unchanged.
 package kuramoto
 
 import (
@@ -22,7 +23,6 @@ import (
 	"math"
 
 	"repro/internal/mathx"
-	"repro/internal/ode"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -131,26 +131,6 @@ func (m *Model) Solver() sim.Solver {
 	return sim.Solver{Atol: m.cfg.Atol, Rtol: m.cfg.Rtol}
 }
 
-// Result is a completed Kuramoto integration.
-type Result struct {
-	Ts    []float64
-	Theta [][]float64
-	Stats ode.Stats
-}
-
-// Run integrates the model to tEnd with nSamples uniform samples through
-// the unified sim runtime.
-func (m *Model) Run(tEnd float64, nSamples int) (*Result, error) {
-	if tEnd <= 0 {
-		return nil, errors.New("kuramoto: tEnd must be positive")
-	}
-	res, err := sim.Run(m, tEnd, nSamples)
-	if err != nil {
-		return nil, fmt.Errorf("kuramoto: %w", err)
-	}
-	return &Result{Ts: res.Ts, Theta: res.Ys, Stats: res.Stats}, nil
-}
-
 // SweepPoint is one (K, r∞) sample of the synchronization transition.
 type SweepPoint struct {
 	K, R float64
@@ -177,15 +157,4 @@ func SweepCoupling(base Config, ks []float64, tEnd float64) ([]SweepPoint, error
 		out = append(out, SweepPoint{K: k, R: order.Asymptotic()})
 	}
 	return out, nil
-}
-
-// PhaseSlips counts events where an oscillator's phase distance to the
-// mean phase grows past 2π — the slips that the paper's non-periodic
-// potentials forbid but the sine coupling allows (mean-field drift
-// removed: increments are compared against the ensemble mean). The rows
-// replay through SlipCounter, the metric's one implementation.
-func (r *Result) PhaseSlips() int {
-	s := &SlipCounter{}
-	sim.Replay(s, r.Ts, r.Theta)
-	return s.Slips()
 }

@@ -10,9 +10,9 @@ import (
 // asymptoticOrder averages r(t) over the final fraction of a run (the
 // final sample alone for finalFraction 0) by replaying its rows through
 // sim.OrderAccumulator, the metric's one implementation.
-func asymptoticOrder(r *Result, finalFraction float64) float64 {
+func asymptoticOrder(r *sim.Result, finalFraction float64) float64 {
 	a := &sim.OrderAccumulator{FinalFraction: sim.LiteralFraction(finalFraction)}
-	sim.Replay(a, r.Ts, r.Theta)
+	sim.Replay(a, r.Ts, r.Ys)
 	return a.Asymptotic()
 }
 
@@ -42,7 +42,7 @@ func TestIdenticalFrequenciesSyncForAnyPositiveK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(200, 201)
+	res, err := sim.Run(m, 200, 201)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestIdenticalFrequenciesSyncForAnyPositiveK(t *testing.T) {
 func TestIncoherenceBelowKc(t *testing.T) {
 	m, _ := New(Config{N: 200, K: 0.1, FreqMean: 0, FreqStd: 1, Seed: 2, SpreadInitial: true})
 	// K = 0.1 << K_c ≈ 1.6: stays incoherent.
-	res, err := m.Run(60, 121)
+	res, err := sim.Run(m, 60, 121)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestIncoherenceBelowKc(t *testing.T) {
 func TestSynchronizationAboveKc(t *testing.T) {
 	m, _ := New(Config{N: 200, K: 4, FreqMean: 0, FreqStd: 1, Seed: 2, SpreadInitial: true})
 	// K = 4 ≈ 2.5·K_c: strong partial synchronization.
-	res, err := m.Run(60, 121)
+	res, err := sim.Run(m, 60, 121)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,19 +108,27 @@ func TestPhaseSlipsAtWeakCoupling(t *testing.T) {
 	// Well below K_c, drifting oscillators continually slip against the
 	// mean phase — the behaviour the POM potentials forbid.
 	m, _ := New(Config{N: 50, K: 0.05, FreqMean: 0, FreqStd: 1, Seed: 4, SpreadInitial: true})
-	res, err := m.Run(100, 501)
-	if err != nil {
+	counter := &SlipCounter{}
+	if _, err := sim.RunStream(m, 100, 501, counter); err != nil {
 		t.Fatal(err)
 	}
-	if s := res.PhaseSlips(); s == 0 {
+	if s := counter.Slips(); s == 0 {
 		t.Error("weakly coupled Kuramoto should show phase slips")
 	}
 }
 
+// TestRunErrors checks that the runtime refuses a Kuramoto run over a
+// non-positive or NaN horizon before any row reaches the sink.
 func TestRunErrors(t *testing.T) {
 	m, _ := New(Config{N: 4, FreqStd: 1, Seed: 1})
-	if _, err := m.Run(0, 10); err == nil {
-		t.Error("want error for tEnd <= 0")
+	for _, tEnd := range []float64{0, -1, math.NaN()} {
+		counter := &SlipCounter{}
+		if _, err := sim.RunStream(m, tEnd, 10, counter); err == nil {
+			t.Errorf("tEnd %v: want an error", tEnd)
+		}
+		if counter.n != 0 {
+			t.Errorf("tEnd %v: the sink saw Begin", tEnd)
+		}
 	}
 }
 
@@ -145,9 +153,9 @@ func TestNewRejectsNonFiniteParameters(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRun pins the unified-runtime port: the rows
-// streamed through sim.RunStream are bit-for-bit the rows Run
-// materializes, and the shared OrderAccumulator reproduces the
+// TestRunStreamMatchesRun pins the unified runtime on Kuramoto rows: the
+// rows streamed through sim.RunStream are bit-for-bit the rows sim.Run
+// records for an identically configured model, and the shared OrderAccumulator reproduces the
 // trajectory-walking asymptotic-order oracle exactly.
 func TestRunStreamMatchesRun(t *testing.T) {
 	cfg := Config{N: 40, K: 1.2, FreqMean: 0, FreqStd: 1, Seed: 9, SpreadInitial: true}
@@ -155,7 +163,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(30, 121)
+	res, err := sim.Run(m, 30, 121)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +178,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			t.Fatalf("sample %d time %v differs from materialized %v", k, tt, res.Ts[k])
 		}
 		for i := range y {
-			if math.Float64bits(y[i]) != math.Float64bits(res.Theta[k][i]) {
+			if math.Float64bits(y[i]) != math.Float64bits(res.Ys[k][i]) {
 				t.Fatalf("sample %d component %d differs", k, i)
 			}
 		}

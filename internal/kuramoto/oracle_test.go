@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/mathx"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// The trajectory-walking bodies of the Result metrics, kept verbatim from
-// before the metrics replayed their rows through the streaming sinks. They
-// are the references the sinks are pinned against bit for bit.
+// The trajectory-walking bodies of the asymptotic order and the slip
+// count, kept from before both metrics became streaming sinks. They are
+// the references the sinks are pinned against bit for bit.
 
 // oracleAsymptoticOrder is the trajectory walk of the asymptotic order
 // parameter r∞ that asymptoticOrder is pinned against.
-func oracleAsymptoticOrder(r *Result, finalFraction float64) float64 {
-	n := len(r.Theta)
+func oracleAsymptoticOrder(r *sim.Result, finalFraction float64) float64 {
+	n := len(r.Ys)
 	if n == 0 {
 		return 0
 	}
@@ -28,7 +29,7 @@ func oracleAsymptoticOrder(r *Result, finalFraction float64) float64 {
 	}
 	var sum float64
 	for k := start; k < n; k++ {
-		rk, _ := stats.OrderParameter(r.Theta[k])
+		rk, _ := stats.OrderParameter(r.Ys[k])
 		sum += rk
 	}
 	return sum / float64(n-start)
@@ -70,9 +71,17 @@ func CountSlipsRows(rows [][]float64) int {
 	return slips
 }
 
-// TestResultMetricsMatchOracles compares asymptoticOrder and PhaseSlips,
-// which replay their rows through OrderAccumulator and SlipCounter, with
-// their trajectory-walking oracles bit for bit, for final fractions 0,
+// replaySlips counts the phase slips of recorded rows by replaying them
+// through SlipCounter.
+func replaySlips(r *sim.Result) int {
+	s := &SlipCounter{}
+	sim.Replay(s, r.Ts, r.Ys)
+	return s.Slips()
+}
+
+// TestResultMetricsMatchOracles compares asymptoticOrder and replaySlips,
+// which replay recorded rows through OrderAccumulator and SlipCounter,
+// with their trajectory-walking oracles bit for bit, for final fractions 0,
 // 0.15 and 1 on a slipping run, one sample and no samples. A final
 // fraction of 0 means the final sample alone, while the accumulator reads
 // 0 as its default window; the run tells the two apart.
@@ -81,13 +90,13 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := m.Run(60, 301)
+	run, err := sim.Run(m, 60, 301)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := map[string]*Result{
+	results := map[string]*sim.Result{
 		"slipping-run": run,
-		"one-sample":   {Ts: run.Ts[:1], Theta: run.Theta[:1]},
+		"one-sample":   {Ts: run.Ts[:1], Ys: run.Ys[:1]},
 		"empty":        {},
 	}
 	for name, r := range results {
@@ -97,8 +106,8 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 				t.Errorf("%s ff=%v: asymptoticOrder %v, oracle %v", name, ff, got, want)
 			}
 		}
-		if got, want := r.PhaseSlips(), CountSlipsRows(r.Theta); got != want {
-			t.Errorf("%s: PhaseSlips %d, oracle %d", name, got, want)
+		if got, want := replaySlips(r), CountSlipsRows(r.Ys); got != want {
+			t.Errorf("%s: replayed slips %d, oracle %d", name, got, want)
 		}
 	}
 	if asymptoticOrder(run, 0) == oracleAsymptoticOrder(run, 0.15) {

@@ -9,10 +9,10 @@ import (
 // SlipCounter counts phase slips and measures per-oscillator drift
 // online, in O(N) memory, so million-point Kuramoto sweeps need no
 // materialized trajectory. It implements sim.Sink. It is the one
-// implementation of the slip count: Result.PhaseSlips replays its rows
-// through it, and the tests pin it bit for bit to a trajectory-walking
-// oracle (per oscillator the same drift-corrected increments, accumulated
-// in the same order, against the same ensemble means).
+// implementation of the slip count, and the tests pin it bit for bit to a
+// trajectory-walking oracle (per oscillator the same drift-corrected
+// increments, accumulated in the same order, against the same ensemble
+// means).
 type SlipCounter struct {
 	n     int
 	k     int

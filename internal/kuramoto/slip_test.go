@@ -22,7 +22,7 @@ func TestSlipCounterMatchesPhaseSlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mMat.Run(tEnd, nSamples)
+	res, err := sim.Run(mMat, tEnd, nSamples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSlipCounterMatchesPhaseSlips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := CountSlipsRows(res.Theta)
+	want := CountSlipsRows(res.Ys)
 	if want == 0 {
 		t.Fatal("test run produced no slips; pick stronger drift parameters")
 	}
@@ -136,7 +136,7 @@ func TestSlipCounterMatchesRowsPOM(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := mMat.Run(tEnd, nSamples)
+			res, err := sim.Run(mMat, tEnd, nSamples)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestSlipCounterMatchesRowsPOM(t *testing.T) {
 			if _, err := sim.RunStream(mStr, tEnd, nSamples, counter); err != nil {
 				t.Fatal(err)
 			}
-			if want := CountSlipsRows(res.Theta); counter.Slips() != want {
+			if want := CountSlipsRows(res.Ys); counter.Slips() != want {
 				t.Fatalf("streamed slips = %d, rows reference = %d", counter.Slips(), want)
 			}
 		})

@@ -96,8 +96,6 @@ type DDEOptions struct {
 	// SolveOptions.
 	NSamples   int
 	SampleFunc func(t float64, y []float64)
-	// Prehistory defines y(t) for t <= t0; nil holds y0 constant.
-	Prehistory func(j int, t float64) float64
 	// MaxDelay, when positive, lets the history discard segments older
 	// than t − MaxDelay − safety, bounding memory.
 	MaxDelay float64
@@ -111,12 +109,8 @@ func (s *DOPRI5) SolveDDE(f DelayFunc, y0 []float64, t0, t1 float64, opt DDEOpti
 	if len(y0) == 0 {
 		return Stats{}, errors.New("ode: empty state")
 	}
-	pre := opt.Prehistory
-	if pre == nil {
-		init := append([]float64(nil), y0...)
-		pre = func(j int, _ float64) float64 { return init[j] }
-	}
-	hist := NewHistory(t0, pre)
+	init := append([]float64(nil), y0...)
+	hist := NewHistory(t0, func(j int, _ float64) float64 { return init[j] })
 	// Segments retired from the bounded history window feed the pool the
 	// solver draws fresh segments from: once the window is full the
 	// per-step segment cost drops to zero allocations.

@@ -111,7 +111,7 @@ func TestSolveDDEZeroDelayMatchesODE(t *testing.T) {
 }
 
 func TestSolveDDEPrehistoryDefault(t *testing.T) {
-	// With nil Prehistory the initial state is held constant for t <= t0.
+	// The initial state is held constant for t <= t0.
 	s := NewDOPRI5(1e-9, 1e-9)
 	f := func(tt float64, _ []float64, past Past, dydt []float64) {
 		dydt[0] = past.Eval(0, tt-5) // always reads prehistory on [0,2]

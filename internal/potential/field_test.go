@@ -7,6 +7,7 @@ import (
 	"repro/internal/continuum"
 	"repro/internal/mathx"
 	"repro/internal/potential"
+	"repro/internal/sim"
 )
 
 // TestFieldSystemTanhPathsAgree integrates continuum.FieldSystem with the
@@ -26,10 +27,14 @@ func TestFieldSystemTanhPathsAgree(t *testing.T) {
 				d := (g.X(i) - g.Length()/2) / (3 * g.A)
 				th0[i] = -amp * math.Exp(-d*d)
 			}
-			solve := func(fused bool) *continuum.Result {
+			solve := func(fused bool) *sim.Result {
 				defer potential.SetFused(fused)()
 				f := &continuum.Field{Grid: g, Potential: potential.Tanh{}, K: 2}
-				res, err := f.Solve(th0, 20, 41)
+				sys, err := f.System(th0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sim.Run(sys, 20, 41)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -39,11 +44,11 @@ func TestFieldSystemTanhPathsAgree(t *testing.T) {
 			if got.Stats != want.Stats {
 				t.Fatalf("periodic=%v amp=%v: fused stats %+v, portable %+v", periodic, amp, got.Stats, want.Stats)
 			}
-			for k, row := range want.Theta {
+			for k, row := range want.Ys {
 				for i, v := range row {
-					if math.Float64bits(got.Theta[k][i]) != math.Float64bits(v) {
+					if math.Float64bits(got.Ys[k][i]) != math.Float64bits(v) {
 						t.Fatalf("periodic=%v amp=%v sample %d point %d: fused %v, portable %v",
-							periodic, amp, k, i, got.Theta[k][i], v)
+							periodic, amp, k, i, got.Ys[k][i], v)
 					}
 				}
 			}

@@ -1,7 +1,7 @@
 // Package sim is the unified simulation runtime shared by every model
 // family in the repository. The POM core (core.Model), the Kuramoto
-// baseline (kuramoto.Model), the continuum field (continuum.Field), the
-// linear-stability scan replay (linstab.Scan), and the cluster trace
+// baseline (kuramoto.Model), the continuum field (continuum.FieldSystem),
+// the linear-stability scan replay (linstab.Scan), and the cluster trace
 // facade (cluster.TraceSystem) all implement the System contract and
 // route their integrations through Run / RunStream here. One runtime
 // means one implementation of the sample-plan machinery, the
@@ -36,9 +36,9 @@
 // optionally teeing extra sinks (an archive.RecordWriter, a
 // continuum.FrontTracker, a kuramoto.SlipCounter) into the same single
 // pass. The sinks are the one implementation of each run metric: the
-// materialized Result metrics of core, kuramoto and continuum replay
-// their rows through them with Replay, and the tests pin every sink bit
-// for bit to a trajectory-walking oracle. Bitwise determinism is the
+// materialized POM Result metrics replay their rows through them with
+// Replay, and the tests pin every sink bit for bit to a trajectory-walking
+// oracle. Bitwise determinism is the
 // load-bearing invariant: parallel right-hand sides equal serial ones,
 // and resumed archives equal uninterrupted ones.
 //

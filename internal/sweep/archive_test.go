@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -523,31 +522,6 @@ func TestRunReduceExternalCancelReturnsCtxErr(t *testing.T) {
 		}
 		if strings.Contains(err.Error(), "point") {
 			t.Fatalf("trial %d: external cancel attributed to a point: %v", trial, err)
-		}
-		cancel()
-	}
-}
-
-// TestRunExternalCancelDeterministic covers the same property for the
-// slice-based Run.
-func TestRunExternalCancelDeterministic(t *testing.T) {
-	params := make([]int, 16)
-	for i := range params {
-		params[i] = i
-	}
-	for trial := 0; trial < 25; trial++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		_, err := Run(ctx, params, 4,
-			func(ctx context.Context, p int) (int, error) {
-				if p == 0 {
-					cancel()
-					return 0, fmt.Errorf("real failure")
-				}
-				<-ctx.Done()
-				return 0, ctx.Err()
-			})
-		if err == nil || !strings.Contains(err.Error(), "real failure") {
-			t.Fatalf("trial %d: err = %v, want the real point failure", trial, err)
 		}
 		cancel()
 	}

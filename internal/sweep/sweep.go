@@ -8,89 +8,6 @@ import (
 	"sync"
 )
 
-// Point is one parameter point of a sweep: an opaque input produced by
-// the caller's grid.
-type Point[P, R any] struct {
-	// Index is the position in the input grid.
-	Index int
-	// Param is the input parameter value.
-	Param P
-	// Result is the worker's output (zero when Err != nil).
-	Result R
-	// Err is the per-point failure, if any.
-	Err error
-}
-
-// Run evaluates fn over params using at most workers goroutines (0 means
-// GOMAXPROCS). The returned slice is ordered like params. The first
-// error cancels outstanding work and is returned alongside the partial
-// results; points that never ran carry ctx.Err().
-//
-// Error reporting is deterministic under cancellation: a point that
-// merely echoes the cancellation (returns ctx.Err() after the context
-// was canceled) never becomes the sweep error, so a genuine point
-// failure racing the cancel is always the one reported, and a sweep
-// canceled from outside reports plain ctx.Err() rather than an
-// arbitrary "point N: context canceled".
-func Run[P, R any](ctx context.Context, params []P, workers int, fn func(ctx context.Context, p P) (R, error)) ([]Point[P, R], error) {
-	if fn == nil {
-		return nil, errors.New("sweep: nil worker function")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(params) {
-		workers = len(params)
-	}
-	out := make([]Point[P, R], len(params))
-	for i, p := range params {
-		out[i] = Point[P, R]{Index: i, Param: p}
-	}
-	if len(params) == 0 {
-		return out, nil
-	}
-
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					out[i].Err = ctx.Err()
-					continue
-				}
-				r, err := call(ctx, fn, out[i].Param)
-				out[i].Result = r
-				out[i].Err = err
-				if err != nil && !isCancelEcho(ctx, err) {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("sweep: point %d: %w", i, err)
-						cancel()
-					})
-				}
-			}
-		}()
-	}
-	for i := range params {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return out, firstErr
-	}
-	return out, parent.Err()
-}
-
 // isCancelEcho reports whether err is just the sweep's own cancellation
 // reflected back by a worker: a context error returned after ctx was
 // already canceled. Such echoes are racy in which point surfaces them
@@ -102,20 +19,6 @@ func isCancelEcho(ctx context.Context, err error) bool {
 		ctx.Err() != nil
 }
 
-// call invokes fn with a panic guard: a panicking point surfaces as a
-// per-point error instead of killing its worker goroutine. An unguarded
-// panic would unwind the worker's range loop, the unbuffered idx channel
-// would lose a receiver, and the feeder — and with it Run — would block
-// forever once every worker had died.
-func call[P, R any](ctx context.Context, fn func(context.Context, P) (R, error), p P) (r R, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("worker panicked: %v", rec)
-		}
-	}()
-	return fn(ctx, p)
-}
-
 // RunReduce evaluates a generated sweep in streaming-reduction mode: point
 // i's parameter comes from gen(i), each completed result is handed to
 // reduce, and nothing else is retained — live memory is O(workers),
@@ -124,12 +27,17 @@ func call[P, R any](ctx context.Context, fn func(context.Context, P) (R, error),
 //
 // reduce is called from worker goroutines serialized by an internal mutex,
 // in completion order; use the point index to place order-sensitive
-// output. The first error (including a recovered worker panic) cancels
-// outstanding work, and points canceled before running are never reported
-// to reduce. Like Run, cancellation echoes from workers are never
-// promoted to the sweep error: a genuine point failure racing an
-// external cancel is reported deterministically, and a purely external
-// cancel returns plain ctx.Err().
+// output (a reduce that stores result i at slot i of a pre-sized slice
+// yields the results in input order). The first error (including a
+// recovered worker panic) cancels outstanding work, and points canceled
+// before running are never reported to reduce.
+//
+// Error reporting is deterministic under cancellation: a point that
+// merely echoes the cancellation (returns ctx.Err() after the context
+// was canceled) never becomes the sweep error, so a genuine point
+// failure racing the cancel is always the one reported, and a sweep
+// canceled from outside reports plain ctx.Err() rather than an
+// arbitrary "point N: context canceled".
 func RunReduce[P, R any](ctx context.Context, n, workers int, gen func(i int) P, fn func(ctx context.Context, p P) (R, error), reduce func(i int, p P, r R)) error {
 	if fn == nil {
 		return errors.New("sweep: nil worker function")
@@ -210,8 +118,11 @@ func callReduce[P, R any](mu *sync.Mutex, reduce func(int, P, R), i int, p P, r 
 	return nil
 }
 
-// callGen generates and evaluates point i under the same panic guard as
-// call, so a panic in either gen or fn cancels the sweep cleanly.
+// callGen generates and evaluates point i under a panic guard, so a panic
+// in either gen or fn surfaces as that point's error and cancels the
+// sweep cleanly. An unguarded panic would unwind the worker's range loop,
+// the unbuffered idx channel would lose a receiver, and the feeder would
+// block forever once every worker had died.
 func callGen[P, R any](ctx context.Context, gen func(int) P, fn func(context.Context, P) (R, error), i int) (p P, r R, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -221,19 +132,6 @@ func callGen[P, R any](ctx context.Context, gen func(int) P, fn func(context.Con
 	p = gen(i)
 	r, err = fn(ctx, p)
 	return
-}
-
-// Results extracts the result values of a fully successful sweep; it
-// returns the first per-point error otherwise.
-func Results[P, R any](points []Point[P, R]) ([]R, error) {
-	out := make([]R, len(points))
-	for i, p := range points {
-		if p.Err != nil {
-			return nil, p.Err
-		}
-		out[i] = p.Result
-	}
-	return out, nil
 }
 
 // Grid1 builds a float64 grid from lo to hi with n points (inclusive).

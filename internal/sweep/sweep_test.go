@@ -3,10 +3,8 @@ package sweep
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,134 +14,32 @@ import (
 	"repro/internal/topology"
 )
 
+// TestRunOrderedResults checks the in-memory collection pattern: a
+// reduce that stores result i at slot i of a pre-sized slice returns the
+// results in input order whatever order the workers finish in.
 func TestRunOrderedResults(t *testing.T) {
 	params := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	pts, err := Run(context.Background(), params, 4,
-		func(_ context.Context, p float64) (float64, error) { return p * p, nil })
+	got := make([]float64, len(params))
+	err := RunReduce(context.Background(), len(params), 4,
+		func(i int) float64 { return params[i] },
+		func(_ context.Context, p float64) (float64, error) { return p * p, nil },
+		func(i int, _ float64, r float64) { got[i] = r })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pt := range pts {
-		if pt.Index != i || pt.Param != params[i] {
-			t.Fatalf("point %d out of order: %+v", i, pt)
-		}
-		if pt.Result != params[i]*params[i] {
-			t.Errorf("result[%d] = %v", i, pt.Result)
-		}
-	}
-	vals, err := Results(pts)
-	if err != nil || len(vals) != 8 {
-		t.Fatalf("Results: %v %v", vals, err)
-	}
-}
-
-func TestRunEmptyAndNil(t *testing.T) {
-	pts, err := Run(context.Background(), []int{}, 2,
-		func(_ context.Context, p int) (int, error) { return p, nil })
-	if err != nil || len(pts) != 0 {
-		t.Errorf("empty sweep: %v %v", pts, err)
-	}
-	if _, err := Run[int, int](context.Background(), []int{1}, 1, nil); err == nil {
-		t.Error("want error for nil fn")
-	}
-}
-
-func TestRunErrorCancels(t *testing.T) {
-	boom := errors.New("boom")
-	var ran atomic.Int64
-	params := make([]int, 64)
-	for i := range params {
-		params[i] = i
-	}
-	pts, err := Run(context.Background(), params, 2,
-		func(ctx context.Context, p int) (int, error) {
-			ran.Add(1)
-			if p == 3 {
-				return 0, boom
-			}
-			// Give cancellation a chance to take effect.
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(time.Millisecond):
-			}
-			return p, nil
-		})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if pts[3].Err == nil {
-		t.Error("failing point must carry its error")
-	}
-	if _, err := Results(pts); err == nil {
-		t.Error("Results must fail on a failed sweep")
-	}
-	if ran.Load() == 64 {
-		t.Log("note: all points ran before cancellation (scheduling-dependent)")
-	}
-}
-
-func TestRunRespectsCanceledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	pts, _ := Run(ctx, []int{1, 2, 3}, 2,
-		func(ctx context.Context, p int) (int, error) {
-			return 0, ctx.Err()
-		})
-	for _, pt := range pts {
-		if pt.Err == nil {
-			t.Error("points under a canceled context must fail")
-		}
-	}
-}
-
-// TestRunPanicDoesNotDeadlock is the regression test for the
-// panicking-worker deadlock: before the panic guard, a panicking fn killed
-// its worker goroutine, the feeder blocked on the unbuffered idx channel
-// once every worker had died, and Run never returned. The test runs Run in
-// a goroutine and fails (instead of hanging the suite) if it stalls.
-func TestRunPanicDoesNotDeadlock(t *testing.T) {
-	params := make([]int, 16)
-	for i := range params {
-		params[i] = i
-	}
-	type outcome struct {
-		pts []Point[int, int]
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		pts, err := Run(context.Background(), params, 2,
-			func(_ context.Context, p int) (int, error) {
-				panic(fmt.Sprintf("boom %d", p))
-			})
-		done <- outcome{pts, err}
-	}()
-	var got outcome
-	select {
-	case got = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("sweep.Run deadlocked on panicking points")
-	}
-	if got.err == nil || !strings.Contains(got.err.Error(), "panicked") {
-		t.Fatalf("err = %v, want a surfaced panic", got.err)
-	}
-	for _, pt := range got.pts {
-		if pt.Err == nil {
-			t.Errorf("point %d: panic sweep must not report success", pt.Index)
+	for i, p := range params {
+		if got[i] != p*p {
+			t.Errorf("result[%d] = %v, want %v", i, got[i], p*p)
 		}
 	}
 }
 
 // TestRunPanicCancelsRemainingPoints checks a single panicking point
-// behaves like an erroring one: the sweep cancels and the panic is
-// attributed to its point.
+// behaves like an erroring one: the sweep cancels and the error names the
+// panic and its point.
 func TestRunPanicCancelsRemainingPoints(t *testing.T) {
-	params := make([]int, 32)
-	for i := range params {
-		params[i] = i
-	}
-	pts, err := Run(context.Background(), params, 2,
+	err := RunReduce(context.Background(), 32, 2,
+		func(i int) int { return i },
 		func(ctx context.Context, p int) (int, error) {
 			if p == 3 {
 				panic("lone panic")
@@ -154,12 +50,10 @@ func TestRunPanicCancelsRemainingPoints(t *testing.T) {
 			case <-time.After(time.Millisecond):
 			}
 			return p * p, nil
-		})
-	if err == nil || !strings.Contains(err.Error(), "lone panic") {
-		t.Fatalf("err = %v, want the recovered panic", err)
-	}
-	if pts[3].Err == nil || !strings.Contains(pts[3].Err.Error(), "panicked") {
-		t.Errorf("point 3 must carry the panic error, got %v", pts[3].Err)
+		},
+		func(int, int, int) {})
+	if err == nil || !strings.Contains(err.Error(), "point 3") || !strings.Contains(err.Error(), "lone panic") {
+		t.Fatalf("err = %v, want the recovered panic of point 3", err)
 	}
 }
 
@@ -293,7 +187,9 @@ func TestGrid1(t *testing.T) {
 // determinism because each point owns its model.
 func TestParallelSigmaSweep(t *testing.T) {
 	sigmas := []float64{0.8, 1.2, 1.6, 2.0}
-	pts, err := Run(context.Background(), sigmas, 4,
+	gaps := make([]float64, len(sigmas))
+	err := RunReduce(context.Background(), len(sigmas), 4,
+		func(i int) float64 { return sigmas[i] },
 		func(_ context.Context, sigma float64) (float64, error) {
 			tp, err := topology.NextNeighbor(10, false)
 			if err != nil {
@@ -322,14 +218,15 @@ func TestParallelSigmaSweep(t *testing.T) {
 				mean += math.Abs(g)
 			}
 			return mean / float64(len(gaps)), nil
-		})
+		},
+		func(i int, _ float64, gap float64) { gaps[i] = gap })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pt := range pts {
+	for i, gap := range gaps {
 		want := 2 * sigmas[i] / 3
-		if math.Abs(pt.Result-want) > 0.15*want {
-			t.Errorf("σ=%v: gap %v, want %v", sigmas[i], pt.Result, want)
+		if math.Abs(gap-want) > 0.15*want {
+			t.Errorf("σ=%v: gap %v, want %v", sigmas[i], gap, want)
 		}
 	}
 }
