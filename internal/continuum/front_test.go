@@ -27,11 +27,11 @@ func frontField() (*Field, []float64) {
 	return f, theta0
 }
 
-// TestFrontTrackerMatchesMeasureFront is the bitwise pin of the
-// streaming tracker against the trajectory-walking MeasureFrontRows
-// oracle on a continuum run: same per-sample positions, same fit, bit
-// for bit.
-func TestFrontTrackerMatchesMeasureFront(t *testing.T) {
+// TestFrontTrackerMatchesRows is the bitwise pin of the streaming
+// tracker against the trajectory-walking MeasureFrontRows oracle over the
+// rows of a continuum run: same per-sample positions, same fit, bit for
+// bit.
+func TestFrontTrackerMatchesRows(t *testing.T) {
 	const tEnd, nSamples, eps = 30.0, 121, 0.15
 	f, theta0 := frontField()
 

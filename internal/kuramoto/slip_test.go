@@ -11,10 +11,10 @@ import (
 	"repro/internal/topology"
 )
 
-// TestSlipCounterMatchesPhaseSlips pins the streaming slip counter
-// bitwise against the trajectory-walking CountSlipsRows oracle on a
+// TestSlipCounterMatchesRows pins the streaming slip counter bitwise
+// against the trajectory-walking CountSlipsRows oracle over the rows of a
 // subcritical Kuramoto run where drifting oscillators actually slip.
-func TestSlipCounterMatchesPhaseSlips(t *testing.T) {
+func TestSlipCounterMatchesRows(t *testing.T) {
 	cfg := Config{N: 10, K: 0.4, FreqMean: 0, FreqStd: 1, Seed: 11, SpreadInitial: true}
 	const tEnd, nSamples = 60.0, 301
 
