@@ -375,11 +375,11 @@ func benchEngine(b *testing.B, msgBytes float64) {
 	b.ResetTimer()
 	var events int
 	for i := 0; i < b.N; i++ {
-		sim, err := cluster.NewSim(cluster.Meggie(4), progs, cluster.Options{})
+		engine, err := cluster.NewSim(cluster.Meggie(4), progs, cluster.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -544,11 +544,11 @@ func BenchmarkMPISimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var events float64
 	for i := 0; i < b.N; i++ {
-		sim, err := cluster.NewSim(cluster.Meggie(4), progs, cluster.Options{})
+		engine, err := cluster.NewSim(cluster.Meggie(4), progs, cluster.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -90,11 +90,11 @@ func main() {
 		}
 	}
 
-	sim, err := cluster.NewSim(mc, progs, opts)
+	engine, err := cluster.NewSim(mc, progs, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -368,13 +368,13 @@ func measureEngine() (engineResult, error) {
 		var events int
 		var elapsed time.Duration
 		for elapsed < time.Second {
-			sim, err := cluster.NewSim(cluster.Meggie(4), progs, cluster.Options{})
+			engine, err := cluster.NewSim(cluster.Meggie(4), progs, cluster.Options{})
 			if err != nil {
 				return res, err
 			}
 			//pomvet:allow wallclock benchmark timing only, never simulation state
 			start := time.Now()
-			r, err := sim.Run()
+			r, err := engine.Run()
 			if err != nil {
 				return res, err
 			}

@@ -39,13 +39,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, cluster.Options{
+		engine, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, cluster.Options{
 			Delays: []cluster.DelayInjection{{Rank: n / 2, Iter: 40, Extra: 10 * k.CoreSeconds}},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -45,19 +45,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := pom.SimulateMPI(pom.Meggie(2), tp, pom.STREAM(), 300, 5, 50, 10)
+	mpi, err := pom.SimulateMPI(pom.Meggie(2), tp, pom.STREAM(), 300, 5, 50, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := sim.Trace
-	dm, err := tr.MeasureDesync(sim.Makespan*0.75, sim.Makespan*0.97, 40)
+	tr := mpi.Trace
+	dm, err := tr.MeasureDesync(mpi.Makespan*0.75, mpi.Makespan*0.97, 40)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nMPI: residual wavefront spread = %.2f iterations, adjacent skew = %.3f\n",
 		dm.Spread, dm.MeanAbsAdjacent)
 	fmt.Printf("MPI: socket bandwidth pinned at %.1f GB/s (Meggie limit 53)\n",
-		sim.AggregateBandwidth(0)/1e9)
+		mpi.AggregateBandwidth(0)/1e9)
 	fmt.Println("\nBoth substrates settle in a stable desynchronized state after the")
 	fmt.Println("idle wave decays — the computational wavefront of Fig. 2(b).")
 }

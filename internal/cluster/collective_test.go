@@ -20,11 +20,11 @@ func TestWaitSingleRequest(t *testing.T) {
 		}, Iters: 1},
 		{Body: []Instr{Send{To: 1, Bytes: 64}}, Iters: 1},
 	}
-	sim, err := NewSim(testMachine(), progs, Options{})
+	engine, err := NewSim(testMachine(), progs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestWaitWithNoRequestsIsNoop(t *testing.T) {
 		Body:  []Instr{Compute{Seconds: 0.1, Bytes: 0}, Wait{}},
 		Iters: 3,
 	}}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestSeparateWaitsCompleteBulkSync(t *testing.T) {
 	if waitalls != 0 || waits != recvs || recvs != 3 {
 		t.Fatalf("waits=%d waitalls=%d recvs=%d", waits, waitalls, recvs)
 	}
-	sim, err := NewSim(testMachine(), progs, Options{})
+	engine, err := NewSim(testMachine(), progs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestAllreduceSynchronizesWithTreeCost(t *testing.T) {
 		{Body: []Instr{Compute{Seconds: 1.0, Bytes: 0}, Allreduce{Bytes: 8}}, Iters: 1},
 		{Body: []Instr{Compute{Seconds: 0.5, Bytes: 0}, Allreduce{Bytes: 8}}, Iters: 1},
 	}
-	sim, _ := NewSim(mc, progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(mc, progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestAllreduceRepeats(t *testing.T) {
 			Iters: 5,
 		}
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestRoundRobinPlacement(t *testing.T) {
 	runWith := func(p Placement) float64 {
 		m := testMachine()
 		m.Placement = p
-		sim, err := NewSim(m, progs, Options{})
+		engine, err := NewSim(m, progs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,11 +204,11 @@ func TestIntraNodeMessagesAreFaster(t *testing.T) {
 		}
 		progs[0] = Program{Body: []Instr{Send{To: to, Bytes: 8192}}, Iters: 1}
 		progs[to] = Program{Body: []Instr{Irecv{From: 0, Bytes: 8192}, Waitall{}}, Iters: 1}
-		sim, err := NewSim(mc, progs, Options{})
+		engine, err := NewSim(mc, progs, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

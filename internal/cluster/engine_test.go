@@ -57,11 +57,11 @@ func TestSingleRankComputeOnly(t *testing.T) {
 		Body:  []Instr{Compute{Seconds: 0.5, Bytes: 1e9}},
 		Iters: 4,
 	}}
-	sim, err := NewSim(testMachine(), progs, Options{})
+	engine, err := NewSim(testMachine(), progs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestBandwidthSaturationSharing(t *testing.T) {
 			Iters: 1,
 		}
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,8 @@ func TestMaxMinFairnessMixedDemands(t *testing.T) {
 		{Body: []Instr{Compute{Seconds: 1, Bytes: 1e9}}, Iters: 1},
 		{Body: []Instr{Compute{Seconds: 1, Bytes: 20e9}}, Iters: 1},
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,8 @@ func TestSocketsAreIndependent(t *testing.T) {
 			Iters: 1,
 		}
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestEagerMessagePingPong(t *testing.T) {
 		{Body: []Instr{Compute{Seconds: 0.1, Bytes: 0}, Send{To: 1, Bytes: 1024}}, Iters: 1},
 		{Body: []Instr{Compute{Seconds: 0.1, Bytes: 0}, Irecv{From: 0, Bytes: 1024}, Waitall{}}, Iters: 1},
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,8 @@ func TestEagerUnexpectedMessage(t *testing.T) {
 		{Body: []Instr{Send{To: 1, Bytes: 512}}, Iters: 1},
 		{Body: []Instr{Compute{Seconds: 0.5, Bytes: 0}, Irecv{From: 0, Bytes: 512}, Waitall{}}, Iters: 1},
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,8 @@ func TestRendezvousBlocksUntilRecv(t *testing.T) {
 		{Body: []Instr{Send{To: 1, Bytes: big}}, Iters: 1},
 		{Body: []Instr{Compute{Seconds: 1, Bytes: 0}, Irecv{From: 0, Bytes: big}, Waitall{}}, Iters: 1},
 	}
-	sim, _ := NewSim(mc, progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(mc, progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +221,8 @@ func TestRendezvousRecvFirst(t *testing.T) {
 		{Body: []Instr{Compute{Seconds: 1, Bytes: 0}, Send{To: 1, Bytes: big}}, Iters: 1},
 		{Body: []Instr{Irecv{From: 0, Bytes: big}, Waitall{}}, Iters: 1},
 	}
-	sim, _ := NewSim(mc, progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(mc, progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestBarrierSynchronizes(t *testing.T) {
 		{Body: []Instr{Compute{Seconds: 1.0, Bytes: 0}, Barrier{}}, Iters: 1},
 		{Body: []Instr{Compute{Seconds: 0.1, Bytes: 0}, Barrier{}}, Iters: 1},
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	res, err := sim.Run()
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +259,8 @@ func TestDeadlockDetected(t *testing.T) {
 		{Body: []Instr{Irecv{From: 1, Bytes: 8}, Waitall{}}, Iters: 1},
 		{Body: []Instr{Compute{Seconds: 0.1, Bytes: 0}}, Iters: 1},
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	if _, err := sim.Run(); err == nil {
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	if _, err := engine.Run(); err == nil {
 		t.Fatal("want deadlock error")
 	}
 }
@@ -270,10 +270,10 @@ func TestDelayInjectionStretchesOneIteration(t *testing.T) {
 		Body:  []Instr{Compute{Seconds: 0.1, Bytes: 0}},
 		Iters: 10,
 	}}
-	sim, _ := NewSim(testMachine(), progs, Options{
+	engine, _ := NewSim(testMachine(), progs, Options{
 		Delays: []DelayInjection{{Rank: 0, Iter: 5, Extra: 1}},
 	})
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +287,10 @@ func TestComputeNoiseHook(t *testing.T) {
 		Body:  []Instr{Compute{Seconds: 0.1, Bytes: 0}},
 		Iters: 4,
 	}}
-	sim, _ := NewSim(testMachine(), progs, Options{
+	engine, _ := NewSim(testMachine(), progs, Options{
 		ComputeNoise: func(rank, iter int) float64 { return 0.05 },
 	})
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +310,11 @@ func TestBulkSynchronousRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSim(testMachine(), progs, Options{})
+	engine, err := NewSim(testMachine(), progs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +354,8 @@ func TestBulkSynchronousAsymmetricStencil(t *testing.T) {
 			t.Errorf("rank %d: %d sends, %d recvs, want 3/3", r, sends, recvs)
 		}
 	}
-	sim, _ := NewSim(testMachine(), progs, Options{})
-	if _, err := sim.Run(); err != nil {
+	engine, _ := NewSim(testMachine(), progs, Options{})
+	if _, err := engine.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -364,10 +364,10 @@ func TestDeterminism(t *testing.T) {
 	run := func() float64 {
 		tp, _ := topology.NextNeighbor(12, true)
 		progs, _ := BulkSynchronous(tp, Workload{Seconds: 2e-3, Bytes: 1e7}, 1024, 30)
-		sim, _ := NewSim(testMachine(), progs, Options{
+		engine, _ := NewSim(testMachine(), progs, Options{
 			Delays: []DelayInjection{{Rank: 3, Iter: 10, Extra: 0.05}},
 		})
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,12 +27,12 @@ func engineAllocs(t *testing.T, iters int, msgBytes float64) float64 {
 	best := math.Inf(1)
 	for rep := 0; rep < 3; rep++ {
 		allocs := testing.AllocsPerRun(5, func() {
-			sim, err := NewSim(mc, progs, Options{})
+			engine, err := NewSim(mc, progs, Options{})
 			if err != nil {
 				runErr = err
 				return
 			}
-			if _, err := sim.Run(); err != nil {
+			if _, err := engine.Run(); err != nil {
 				runErr = err
 			}
 		})

@@ -51,12 +51,12 @@ func TestPropertyRandomProgramsComplete(t *testing.T) {
 				Extra: rng.Float64() * 0.01,
 			}}
 		}
-		sim, err := NewSim(testMachine(), progs, opts)
+		engine, err := NewSim(testMachine(), progs, opts)
 		if err != nil {
 			t.Logf("seed %d: NewSim: %v", seed, err)
 			return false
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			t.Logf("seed %d: Run: %v", seed, err)
 			return false
@@ -86,11 +86,11 @@ func TestPropertyMakespanLowerBound(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		progs, _ := randomMatchedPrograms(rng)
-		sim, err := NewSim(testMachine(), progs, Options{})
+		engine, err := NewSim(testMachine(), progs, Options{})
 		if err != nil {
 			return false
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			return false
 		}
@@ -120,11 +120,11 @@ func TestPropertySocketBytesConservation(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		progs, _ := randomMatchedPrograms(rng)
 		mc := testMachine()
-		sim, err := NewSim(mc, progs, Options{})
+		engine, err := NewSim(mc, progs, Options{})
 		if err != nil {
 			return false
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			return false
 		}
@@ -171,11 +171,11 @@ func TestPropertyDelayMonotone(t *testing.T) {
 			}
 		}
 		run := func(opts Options) float64 {
-			sim, err := NewSim(testMachine(), progs, opts)
+			engine, err := NewSim(testMachine(), progs, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.Run()
+			res, err := engine.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,11 +201,11 @@ func TestPropertyTraceCoversMakespan(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		progs, _ := randomMatchedPrograms(rng)
-		sim, err := NewSim(testMachine(), progs, Options{})
+		engine, err := NewSim(testMachine(), progs, Options{})
 		if err != nil {
 			return false
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			return false
 		}
@@ -247,11 +247,11 @@ func TestDelayCanImproveBottleneckedRun(t *testing.T) {
 	rng := stats.NewRNG(0x830fe623e56bfa9f)
 	progs, _ := randomMatchedPrograms(rng)
 	run := func(opts Options) float64 {
-		sim, err := NewSim(testMachine(), progs, opts)
+		engine, err := NewSim(testMachine(), progs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -296,49 +296,3 @@ func runStream(f *Field, theta0 []float64, tEnd float64, nSamples int, sink sim.
 	_, err = sim.RunStream(sys, tEnd, nSamples, sink)
 	return err
 }
-
-// TestSolveStreamMatchesSolve pins the unified runtime on continuum rows:
-// the rows streamed through sim.RunStream are bit-for-bit the rows
-// sim.Run records from a second system built from the same field, and the
-// shared SpreadAccumulator timeline is max θ − min θ of each recorded row
-// exactly.
-func TestSolveStreamMatchesSolve(t *testing.T) {
-	g := Grid{M: 24, A: 1, Periodic: true}
-	f := Field{Grid: g, Potential: potential.Tanh{}, K: 2, Linear: true}
-	theta0 := make([]float64, g.M)
-	for i := range theta0 {
-		theta0[i] = math.Sin(2 * math.Pi * float64(i) / float64(g.M))
-	}
-	res := solve(t, &f, theta0, 12, 25)
-	spread := &sim.SpreadAccumulator{KeepTimeline: true}
-	k := 0
-	err := runStream(&f, theta0, 12, 25, sim.Tee(spread, sim.SinkFunc(func(tt float64, y []float64) {
-		if math.Float64bits(tt) != math.Float64bits(res.Ts[k]) {
-			t.Fatalf("sample %d time %v differs from materialized %v", k, tt, res.Ts[k])
-		}
-		for i := range y {
-			if math.Float64bits(y[i]) != math.Float64bits(res.Ys[k][i]) {
-				t.Fatalf("sample %d component %d differs", k, i)
-			}
-		}
-		k++
-	})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != len(res.Ts) {
-		t.Fatalf("streamed %d rows, materialized %d", k, len(res.Ts))
-	}
-	if len(spread.Timeline) != len(res.Ys) {
-		t.Fatalf("spread timeline %d entries, want %d", len(spread.Timeline), len(res.Ys))
-	}
-	for i, row := range res.Ys {
-		lo, hi, err := mathx.MinMax(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(spread.Timeline[i]) != math.Float64bits(hi-lo) {
-			t.Fatalf("spread[%d] differs: %v vs %v", i, spread.Timeline[i], hi-lo)
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/potential"
 	"repro/internal/sim"
 )
 
@@ -32,11 +33,33 @@ func MeasureFrontRows(g Grid, ts []float64, rows [][]float64, eps float64) (Fron
 	return measureFront(append([]float64(nil), ts...), positions)
 }
 
+// oracleSpreadTimeline is the trajectory walk of the per-row phase
+// spread max θ − min θ that SpreadAccumulator's timeline is pinned
+// against.
+func oracleSpreadTimeline(rows [][]float64) []float64 {
+	out := make([]float64, len(rows))
+	for k, row := range rows {
+		lo, hi := row[0], row[0]
+		for _, v := range row[1:] {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		out[k] = hi - lo
+	}
+	return out
+}
+
 // TestResultMetricsMatchOracles replays recorded rows through
 // FrontTracker and compares the result with the trajectory-walking
 // MeasureFrontRows oracle bit for bit, error values included, for
 // thresholds 0 (the 0.15 default), 0.15 and 1 on a developing front, one
-// sample and no samples.
+// sample and no samples. It also replays those rows, and a relaxing
+// linear tanh field, through SpreadAccumulator and compares its timeline
+// with the oracle spreads bit for bit.
 func TestResultMetricsMatchOracles(t *testing.T) {
 	f, theta0 := frontField()
 	run := solve(t, f, theta0, 30, 121)
@@ -46,6 +69,29 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 		"empty":      {},
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	relax := &Field{Grid: Grid{M: 24, A: 1, Periodic: true}, Potential: potential.Tanh{}, K: 2, Linear: true}
+	wave := make([]float64, relax.Grid.M)
+	for i := range wave {
+		wave[i] = math.Sin(2 * math.Pi * float64(i) / float64(relax.Grid.M))
+	}
+	spreadRuns := map[string]*sim.Result{"linear-relax": solve(t, relax, wave, 12, 25)}
+	for name, r := range results {
+		spreadRuns[name] = r
+	}
+	for name, r := range spreadRuns {
+		spread := &sim.SpreadAccumulator{KeepTimeline: true}
+		sim.Replay(spread, r.Ts, r.Ys)
+		want := oracleSpreadTimeline(r.Ys)
+		if len(spread.Timeline) != len(want) {
+			t.Errorf("%s: spread timeline has %d entries, oracle %d", name, len(spread.Timeline), len(want))
+			continue
+		}
+		for k := range want {
+			if !same(spread.Timeline[k], want[k]) {
+				t.Errorf("%s: spread[%d] = %v, oracle %v", name, k, spread.Timeline[k], want[k])
+			}
+		}
+	}
 	for name, r := range results {
 		for _, eps := range []float64{0, 0.15, 1} {
 			tracker := &FrontTracker{Grid: f.Grid, Eps: eps}

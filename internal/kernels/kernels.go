@@ -134,11 +134,11 @@ func SocketScalability(mc cluster.MachineConfig, k Kernel, maxProcs, iters int) 
 				Iters: iters,
 			}
 		}
-		sim, err := cluster.NewSim(mc, progs, cluster.Options{})
+		engine, err := cluster.NewSim(mc, progs, cluster.Options{})
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			return nil, err
 		}

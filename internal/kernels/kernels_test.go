@@ -149,11 +149,11 @@ func TestPlacementAblation(t *testing.T) {
 				Iters: 3,
 			}
 		}
-		sim, err := cluster.NewSim(mc, progs, cluster.Options{})
+		engine, err := cluster.NewSim(mc, progs, cluster.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run()
+		res, err := engine.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

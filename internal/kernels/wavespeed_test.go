@@ -26,13 +26,13 @@ func measureUpwardWave(t *testing.T, offsets []int, msgBytes float64) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, cluster.Options{
+	engine, err := cluster.NewSim(cluster.Meggie((n+9)/10), progs, cluster.Options{
 		Delays: []cluster.DelayInjection{{Rank: origin, Iter: delayIter, Extra: 10 * k.CoreSeconds}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,46 +152,3 @@ func TestNewRejectsNonFiniteParameters(t *testing.T) {
 		}
 	}
 }
-
-// TestRunStreamMatchesRun pins the unified runtime on Kuramoto rows: the
-// rows streamed through sim.RunStream are bit-for-bit the rows sim.Run
-// records for an identically configured model, and the shared OrderAccumulator reproduces the
-// trajectory-walking asymptotic-order oracle exactly.
-func TestRunStreamMatchesRun(t *testing.T) {
-	cfg := Config{N: 40, K: 1.2, FreqMean: 0, FreqStd: 1, Seed: 9, SpreadInitial: true}
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(m, 30, 121)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := &sim.OrderAccumulator{FinalFraction: 0.25}
-	k := 0
-	_, err = sim.RunStream(m2, 30, 121, sim.Tee(order, sim.SinkFunc(func(tt float64, y []float64) {
-		if math.Float64bits(tt) != math.Float64bits(res.Ts[k]) {
-			t.Fatalf("sample %d time %v differs from materialized %v", k, tt, res.Ts[k])
-		}
-		for i := range y {
-			if math.Float64bits(y[i]) != math.Float64bits(res.Ys[k][i]) {
-				t.Fatalf("sample %d component %d differs", k, i)
-			}
-		}
-		k++
-	})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != len(res.Ts) {
-		t.Fatalf("streamed %d rows, materialized %d", k, len(res.Ts))
-	}
-	want := oracleAsymptoticOrder(res, 0.25)
-	if got := order.Asymptotic(); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("streamed r∞ = %v, materialized %v (must be bitwise equal)", got, want)
-	}
-}

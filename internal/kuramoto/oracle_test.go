@@ -71,6 +71,20 @@ func CountSlipsRows(rows [][]float64) int {
 	return slips
 }
 
+// mustRun records a run of the model cfg describes.
+func mustRun(t *testing.T, cfg Config, tEnd float64, nSamples int) *sim.Result {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.Run(m, tEnd, nSamples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // replaySlips counts the phase slips of recorded rows by replaying them
 // through SlipCounter.
 func replaySlips(r *sim.Result) int {
@@ -82,25 +96,20 @@ func replaySlips(r *sim.Result) int {
 // TestResultMetricsMatchOracles compares asymptoticOrder and replaySlips,
 // which replay recorded rows through OrderAccumulator and SlipCounter,
 // with their trajectory-walking oracles bit for bit, for final fractions 0,
-// 0.15 and 1 on a slipping run, one sample and no samples. A final
-// fraction of 0 means the final sample alone, while the accumulator reads
-// 0 as its default window; the run tells the two apart.
+// 0.15, 0.25 and 1 on a slipping run, a 40-oscillator run past the
+// locking threshold, one sample and no samples. A final fraction of 0
+// means the final sample alone, while the accumulator reads 0 as its
+// default window; the run tells the two apart.
 func TestResultMetricsMatchOracles(t *testing.T) {
-	m, err := New(Config{N: 10, K: 0.4, FreqStd: 1, Seed: 11, SpreadInitial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sim.Run(m, 60, 301)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := mustRun(t, Config{N: 10, K: 0.4, FreqStd: 1, Seed: 11, SpreadInitial: true}, 60, 301)
 	results := map[string]*sim.Result{
 		"slipping-run": run,
+		"locking-run":  mustRun(t, Config{N: 40, K: 1.2, FreqStd: 1, Seed: 9, SpreadInitial: true}, 30, 121),
 		"one-sample":   {Ts: run.Ts[:1], Ys: run.Ys[:1]},
 		"empty":        {},
 	}
 	for name, r := range results {
-		for _, ff := range []float64{0, 0.15, 1} {
+		for _, ff := range []float64{0, 0.15, 0.25, 1} {
 			got, want := asymptoticOrder(r, ff), oracleAsymptoticOrder(r, ff)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s ff=%v: asymptoticOrder %v, oracle %v", name, ff, got, want)

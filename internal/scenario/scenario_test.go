@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/noise"
+	"repro/internal/sim"
 )
 
 func validSpec() *Spec {
@@ -169,5 +170,28 @@ func TestSpecRunsEndToEnd(t *testing.T) {
 	mean /= float64(len(gaps))
 	if math.Abs(mean-want) > 0.12 {
 		t.Errorf("gap = %v, want %v", mean, want)
+	}
+}
+
+// torusPastSides is a torus2d spec whose coupling radius exceeds both
+// sides of the 3×2 torus, so its offsets wrap more than once.
+const torusPastSides = `{"family":"torus2d","t_end":1,"torus2d":{"nx":3,"ny":2,"radius":3,"tcomp":0.8,"tcomm":0.2,"potential":{"kind":"tanh"}}}`
+
+// TestTorusRadiusPastSidesRuns checks that the spec builds and runs.
+func TestTorusRadiusPastSidesRuns(t *testing.T) {
+	spec, err := Load(strings.NewReader(torusPastSides))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, tEnd, samples, err := spec.BuildSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := sim.RunSummary(sys, tEnd, samples, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Stats.Steps == 0 || len(sum.Gaps) != 5 {
+		t.Errorf("summary %+v, want solver steps and 5 gaps", sum)
 	}
 }

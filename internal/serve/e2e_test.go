@@ -173,6 +173,44 @@ func TestE2EPerFamily(t *testing.T) {
 	}
 }
 
+// TestE2ETorusRadiusPastSides posts a torus2d spec whose radius exceeds
+// both torus sides (its topology build once indexed out of range in a
+// worker goroutine, which took the process down) and checks that the run
+// completes and the server still answers.
+func TestE2ETorusRadiusPastSides(t *testing.T) {
+	_, hs := newTestServer(t, serve.Config{})
+	doc := []byte(`{"family":"torus2d","t_end":1,"torus2d":{"nx":3,"ny":2,"radius":3,"tcomp":0.8,"tcomm":0.2,"potential":{"kind":"tanh"}}}`)
+	resp := postRun(t, hs.URL, doc)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Trailer.Get("X-Pomsimd-Status"); got != "done" {
+		t.Errorf("trailer status %q, want done", got)
+	}
+	want, samples := directBody(t, doc)
+	if !bytes.Equal(body, want) {
+		t.Errorf("streamed body diverges from direct run: %d vs %d bytes", len(body), len(want))
+	}
+	checkNDJSON(t, body, samples)
+	health, err := http.Get(hs.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := health.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("healthz status %d after the run", health.StatusCode)
+	}
+}
+
 // TestE2EHitStreamsInChunks pins the chunked cache-hit stream on a body
 // that spans many 64 KiB chunks: the hit is byte-identical to the miss
 // that produced it and carries the same trailers.

@@ -72,7 +72,13 @@ func (a *SpreadAccumulator) Begin(_, nSamples int) {
 //
 //pomvet:allocfree
 func (a *SpreadAccumulator) Sample(_ float64, theta []float64) {
-	s := stats.PhaseSpread(theta)
+	a.add(stats.PhaseSpread(theta))
+}
+
+// add folds one sample's spread s into the metrics.
+//
+//pomvet:allocfree
+func (a *SpreadAccumulator) add(s float64) {
 	if a.KeepTimeline {
 		a.Timeline = append(a.Timeline, s) //pomvet:allow allocfree opt-in timeline retention; off on the sweep hot path
 	}
@@ -117,10 +123,11 @@ type OrderAccumulator struct {
 	sum        float64
 	final, min float64
 	seen       bool
+	sin, cos   []float64 // OrderR scratch: one row, or summarySink's block
 }
 
 // Begin implements Sink.
-func (a *OrderAccumulator) Begin(_, nSamples int) {
+func (a *OrderAccumulator) Begin(n, nSamples int) {
 	ff := a.FinalFraction
 	if ff == 0 {
 		ff = 0.15
@@ -129,13 +136,30 @@ func (a *OrderAccumulator) Begin(_, nSamples int) {
 	a.k, a.sum = 0, 0
 	a.final, a.min, a.seen = 0, math.Inf(1), false
 	a.Timeline = a.Timeline[:0]
+	a.grow(n)
+}
+
+// grow sizes the OrderR scratch to at least n phases.
+func (a *OrderAccumulator) grow(n int) {
+	if len(a.sin) < n {
+		a.sin, a.cos = make([]float64, n), make([]float64, n)
+	}
 }
 
 // Sample implements Sink.
 //
 //pomvet:allocfree
 func (a *OrderAccumulator) Sample(_ float64, theta []float64) {
-	r, _ := stats.OrderParameter(theta)
+	if len(theta) > len(a.sin) {
+		a.grow(len(theta)) //pomvet:allow allocflow only a row wider than Begin's n (or no Begin) grows the scratch
+	}
+	a.add(stats.OrderR(theta, a.sin, a.cos))
+}
+
+// add folds one sample's order parameter r into the metrics.
+//
+//pomvet:allocfree
+func (a *OrderAccumulator) add(r float64) {
 	if a.KeepTimeline {
 		a.Timeline = append(a.Timeline, r) //pomvet:allow allocfree opt-in timeline retention; off on the sweep hot path
 	}
@@ -188,7 +212,12 @@ func (d *ResyncDetector) Begin(int, int) { d.have = false }
 
 // Sample implements Sink.
 func (d *ResyncDetector) Sample(t float64, theta []float64) {
-	if stats.PhaseSpread(theta) >= d.Eps {
+	d.add(t, stats.PhaseSpread(theta))
+}
+
+// add folds the spread s of the sample at time t into the detection.
+func (d *ResyncDetector) add(t, s float64) {
+	if s >= d.Eps {
 		d.have = false
 	} else if !d.have {
 		d.have, d.at = true, t
@@ -388,32 +417,116 @@ func RunSummary(sys System, tEnd float64, nSamples int, resyncEps, finalFraction
 // the standard summary accumulates. The extra sinks see exactly the
 // rows the accumulators see, in the same order.
 func RunSummaryTo(sys System, tEnd float64, nSamples int, resyncEps, finalFraction float64, extra ...Sink) (*Summary, error) {
-	if resyncEps == 0 {
-		resyncEps = 0.1
+	sum := newSummarySink(resyncEps, finalFraction)
+	var sink Sink = sum
+	if len(extra) > 0 {
+		sink = Tee(append([]Sink{sum}, extra...)...)
 	}
-	spread := &SpreadAccumulator{FinalFraction: finalFraction}
-	order := &OrderAccumulator{FinalFraction: finalFraction}
-	resync := &ResyncDetector{Eps: resyncEps}
-	gaps := &GapAccumulator{FinalFraction: finalFraction}
-	sinks := append([]Sink{spread, order, resync, gaps}, extra...)
-	st, err := RunStream(sys, tEnd, nSamples, Tee(sinks...))
+	st, err := RunStream(sys, tEnd, nSamples, sink)
 	if err != nil {
 		return nil, err
 	}
+	return sum.summary(st), nil
+}
+
+// orderBlock is how many rows the summary sink holds before it computes
+// their order parameters in one stats.OrderRBlock call.
+const orderBlock = 8
+
+// summarySink is RunSummaryTo's one pass over a run: the four standard
+// accumulators, held by value. Per row it computes the phase spread once
+// and feeds it to the spread accumulator and the resync detector. The
+// order parameter r does not need the row's time, so the sink copies
+// rows into a block of orderBlock and computes their r together, which
+// lets the latency chains of independent rows overlap; the r values
+// still reach the order accumulator in row order. The Summary carries
+// exactly the bits of a Tee of the four public sinks. Every row must
+// have Begin's width, as RunStream's rows do.
+type summarySink struct {
+	spread SpreadAccumulator
+	order  OrderAccumulator
+	resync ResyncDetector
+	gaps   GapAccumulator
+
+	width, held int
+	rows        []float64 // held rows, row-major, orderBlock·width
+	r           [orderBlock]float64
+}
+
+// newSummarySink returns the summary sink with RunSummary's defaults:
+// resyncEps 0 selects 0.1, and finalFraction 0 selects each windowed
+// accumulator's own default.
+func newSummarySink(resyncEps, finalFraction float64) *summarySink {
+	if resyncEps == 0 {
+		resyncEps = 0.1
+	}
+	return &summarySink{
+		spread: SpreadAccumulator{FinalFraction: finalFraction},
+		order:  OrderAccumulator{FinalFraction: finalFraction},
+		resync: ResyncDetector{Eps: resyncEps},
+		gaps:   GapAccumulator{FinalFraction: finalFraction},
+	}
+}
+
+// Begin implements Sink.
+func (s *summarySink) Begin(n, nSamples int) {
+	s.spread.Begin(n, nSamples)
+	s.order.Begin(n, nSamples)
+	s.resync.Begin(n, nSamples)
+	s.gaps.Begin(n, nSamples)
+	s.order.grow(orderBlock * n) // the OrderRBlock scratch
+	s.width, s.held = n, 0
+	if m := orderBlock * n; len(s.rows) < m {
+		s.rows = make([]float64, m)
+	}
+}
+
+// Sample implements Sink.
+//
+//pomvet:allocfree
+func (s *summarySink) Sample(t float64, theta []float64) {
+	copy(s.rows[s.held*s.width:], theta)
+	s.held++
+	if s.held == orderBlock {
+		s.flush()
+	}
+	spread := stats.PhaseSpread(theta)
+	s.spread.add(spread)
+	s.resync.add(t, spread)
+	s.gaps.Sample(t, theta)
+}
+
+// flush feeds the order parameters of the held rows to the order
+// accumulator, in row order.
+//
+//pomvet:allocfree
+func (s *summarySink) flush() {
+	m := s.held * s.width
+	r := s.r[:s.held]
+	stats.OrderRBlock(r, s.rows[:m], s.order.sin, s.order.cos)
+	for _, v := range r {
+		s.order.add(v)
+	}
+	s.held = 0
+}
+
+// summary reads the Summary of the finished run, with the solver work st.
+func (s *summarySink) summary(st ode.Stats) *Summary {
+	s.flush()
 	sum := &Summary{
-		FinalSpread:      spread.Final(),
-		MaxSpread:        spread.Max(),
-		AsymptoticSpread: spread.Asymptotic(),
-		FinalOrder:       order.Final(),
-		MinOrder:         order.Min(),
-		Gaps:             gaps.Gaps(),
-		MeanAbsGap:       gaps.MeanAbsGap(),
+		FinalSpread:      s.spread.Final(),
+		MaxSpread:        s.spread.Max(),
+		AsymptoticSpread: s.spread.Asymptotic(),
+		FinalOrder:       s.order.Final(),
+		MinOrder:         s.order.Min(),
+		Gaps:             s.gaps.Gaps(),
+		MeanAbsGap:       s.gaps.MeanAbsGap(),
 		Stats:            st,
 	}
-	if rt, err := resync.ResyncTime(); err == nil {
+	if rt, err := s.resync.ResyncTime(); err == nil {
 		sum.Resynced, sum.ResyncTime = true, rt
 	}
-	return sum, nil
+	return sum
 }
 
 // Vector flattens the scalar summary metrics into a fixed-layout float

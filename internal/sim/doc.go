@@ -31,16 +31,21 @@
 // memory is independent of the sample count; Run is a RunStream into a
 // sink that records every row, so there is one sample path. The
 // accumulator sinks (SpreadAccumulator, OrderAccumulator, ResyncDetector,
-// GapAccumulator, LockAccumulator) reduce a stream to O(N) summaries;
-// RunSummary / RunSummaryTo bundle them into the standard Summary,
-// optionally teeing extra sinks (an archive.RecordWriter, a
-// continuum.FrontTracker, a kuramoto.SlipCounter) into the same single
-// pass. The sinks are the one implementation of each run metric: the
-// materialized POM Result metrics replay their rows through them with
-// Replay, and the tests pin every sink bit for bit to a trajectory-walking
-// oracle. Bitwise determinism is the
-// load-bearing invariant: parallel right-hand sides equal serial ones,
-// and resumed archives equal uninterrupted ones.
+// GapAccumulator, LockAccumulator) reduce a stream to O(N) summaries.
+// RunSummary / RunSummaryTo compute the standard Summary in one pass:
+// one unexported sink holds the spread, order, resync and gap
+// accumulators by value, computes each row's spread once, and computes
+// the order parameter r without ψ for blocks of eight rows at a time
+// (stats.OrderRBlock), feeding every value through the accumulators'
+// own update code in row order. Extra sinks (an archive.RecordWriter, a
+// continuum.FrontTracker, a kuramoto.SlipCounter) are teed into the same
+// pass; FuzzSummaryMatchesTee pins the Summary bits to a Tee of the four
+// public accumulators. The sinks are the one implementation of each run
+// metric: the materialized POM Result metrics replay their rows through
+// them with Replay, and the tests pin every sink bit for bit to a
+// trajectory-walking oracle. Bitwise determinism is the load-bearing
+// invariant: parallel right-hand sides equal serial ones, and resumed
+// archives equal uninterrupted ones.
 //
 // # Parallelism
 //

@@ -119,7 +119,8 @@ func release(sys System) {
 // nSamples uniform sample rows (both endpoints included; fewer than 2
 // means 2) to sink as they are produced, from a reused buffer: the run's
 // memory is independent of nSamples, which is what makes million-point
-// sweeps with per-point trajectories feasible.
+// sweeps with per-point trajectories feasible. When the integration
+// fails, the returned Stats count the solver work done before the error.
 func RunStream(sys System, tEnd float64, nSamples int, sink Sink) (ode.Stats, error) {
 	// Registered before any validation: the Releaser contract promises a
 	// Release per invocation on every path, including argument errors — a
@@ -165,7 +166,7 @@ func RunStream(sys System, tEnd float64, nSamples int, sink Sink) (ode.Stats, er
 		})
 	}
 	if err != nil {
-		return ode.Stats{}, fmt.Errorf("sim: integration failed: %w", err)
+		return st, fmt.Errorf("sim: integration failed: %w", err)
 	}
 	return st, nil
 }

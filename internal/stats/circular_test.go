@@ -66,6 +66,60 @@ func TestOrderParameterAllocFree(t *testing.T) {
 	}
 }
 
+// TestOrderRMatchesReference pins OrderR's r bitwise to the math.Sincos
+// loop at the same sizes, and OrderRBlock's r of every row of blocks of
+// one to nine such rows, with specials cycling through every row. The
+// scratch is oversized and left dirty between calls.
+func TestOrderRMatchesReference(t *testing.T) {
+	sin, cos := make([]float64, 9*1001), make([]float64, 9*1001)
+	for i := range sin {
+		sin[i], cos[i] = math.NaN(), math.Inf(1)
+	}
+	for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 130, 1000} {
+		theta := orderPhases(n)
+		wr, _ := orderReference(theta)
+		if r := OrderR(theta, sin, cos); math.Float64bits(r) != math.Float64bits(wr) {
+			t.Errorf("N=%d: OrderR = %v, reference %v", n, r, wr)
+		}
+		for m := 1; m <= 9; m++ {
+			rows := make([]float64, 0, m*n)
+			for j := 0; j < m; j++ {
+				rows = append(rows, orderPhases(n + j)[j:j+n]...)
+			}
+			r := make([]float64, m)
+			OrderRBlock(r, rows, sin, cos)
+			for j := range r {
+				wr, _ := orderReference(rows[j*n : (j+1)*n])
+				if math.Float64bits(r[j]) != math.Float64bits(wr) {
+					t.Errorf("N=%d block of %d: row %d r = %v, reference %v", n, m, j, r[j], wr)
+				}
+			}
+		}
+	}
+	if r := OrderR(nil, nil, nil); r != 0 {
+		t.Errorf("empty: OrderR = %v", r)
+	}
+	r := []float64{7, 7}
+	if OrderRBlock(r, nil, nil, nil); r[0] != 0 || r[1] != 0 {
+		t.Errorf("empty rows: OrderRBlock = %v", r)
+	}
+}
+
+// TestOrderRAllocFree pins OrderR and OrderRBlock at zero heap
+// allocations.
+func TestOrderRAllocFree(t *testing.T) {
+	for _, n := range []int{8, 1000} {
+		theta := orderPhases(8 * n)
+		sin, cos, r := make([]float64, 8*n), make([]float64, 8*n), make([]float64, 8)
+		if a := testing.AllocsPerRun(100, func() { OrderR(theta[:n], sin, cos) }); a != 0 {
+			t.Errorf("N=%d: OrderR allocates %v times per call", n, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { OrderRBlock(r, theta, sin, cos) }); a != 0 {
+			t.Errorf("N=%d: OrderRBlock allocates %v times per call", n, a)
+		}
+	}
+}
+
 // BenchmarkOrderParameter times one mean-field evaluation at the linstab
 // example's N = 3, the Kuramoto example's N = 64 and at N = 1000.
 func BenchmarkOrderParameter(b *testing.B) {

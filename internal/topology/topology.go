@@ -198,7 +198,9 @@ func Torus2DRadius(nx, ny, radius int) (*Topology, error) {
 	}
 	n := nx * ny
 	b := linalg.NewBuilder(n, n)
-	id := func(x, y int) int { return ((y+ny)%ny)*nx + (x+nx)%nx }
+	// A radius past nx or ny reaches offsets below −nx or −ny, so the
+	// wrap is a true modulo, not a single +n shift.
+	id := func(x, y int) int { return ((y%ny+ny)%ny)*nx + (x%nx+nx)%nx }
 	seen := make([]int, n) // seen[j] == i+1 marks edge i→j already added
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {

@@ -184,6 +184,35 @@ func TestTorus2DRadius(t *testing.T) {
 	}
 }
 
+// TestTorus2DRadiusPastSides checks radii larger than nx or ny, whose
+// offsets wrap more than once, against a brute-force neighbor set: every
+// rank j ≠ i within Manhattan distance radius of i for some choice of
+// wrap (x_j + a·nx, y_j + b·ny).
+func TestTorus2DRadiusPastSides(t *testing.T) {
+	for _, c := range []struct{ nx, ny, radius int }{{3, 2, 3}, {3, 2, 4}, {2, 2, 3}, {4, 2, 5}, {5, 3, 7}} {
+		tp, err := Torus2DRadius(c.nx, c.ny, c.radius)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		for i := 0; i < tp.N; i++ {
+			xi, yi := i%c.nx, i/c.nx
+			for j := 0; j < tp.N; j++ {
+				xj, yj := j%c.nx, j/c.nx
+				want := false
+				for a := -c.radius; a <= c.radius && !want; a++ {
+					for b := -c.radius; b <= c.radius && !want; b++ {
+						d := abs(xj+a*c.nx-xi) + abs(yj+b*c.ny-yi)
+						want = j != i && d <= c.radius
+					}
+				}
+				if got := tp.T.At(i, j); got != map[bool]float64{false: 0, true: 1}[want] {
+					t.Fatalf("%+v: T[%d,%d] = %v, want neighbor=%v", c, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRandomSymmetricAndDeterministic(t *testing.T) {
 	r1 := stats.NewRNG(99)
 	r2 := stats.NewRNG(99)

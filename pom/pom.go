@@ -157,11 +157,11 @@ func SimulateMPI(mc MachineConfig, tp *Topology, k Kernel, iters int,
 			Extra: extraIters * k.CoreSeconds,
 		}}
 	}
-	sim, err := cluster.NewSim(mc, progs, opts)
+	engine, err := cluster.NewSim(mc, progs, opts)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run()
+	return engine.Run()
 }
 
 // STREAM, Schoenauer and Pisolver return the paper's three kernels.
