@@ -190,8 +190,9 @@ type SolveOptions struct {
 	Pool *SegmentPool
 }
 
-// ErrStepSizeUnderflow reports that the controller could not meet the
-// tolerance with a step above the rounding level of t.
+// ErrStepSizeUnderflow reports a step size below the rounding level of t
+// before the end of the interval: the controller could not meet the
+// tolerance with a larger step, or the initial step came out zero.
 var ErrStepSizeUnderflow = errors.New("ode: step size underflow")
 
 // ErrTooManySteps reports that MaxSteps was exceeded.
@@ -264,6 +265,13 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 	}
 
 	for t < t1 {
+		// A step below the rounding level of t cannot move t, and its
+		// zero error would be accepted forever (initialStep returns 0 when
+		// its norm overflows). Checked before the clamp to t1, so a short
+		// final step still runs.
+		if h < 1e-14*math.Max(1, math.Abs(t)) && t+h < t1 {
+			return st, fmt.Errorf("%w at t=%g (h=%g)", ErrStepSizeUnderflow, t, h)
+		}
 		if st.Steps >= maxSteps {
 			return st, fmt.Errorf("%w (t=%g of %g)", ErrTooManySteps, t, t1)
 		}
@@ -323,9 +331,6 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 			st.Rejected++
 			fac := mathx.Clamp(0.9*math.Pow(errNorm, -0.2), 0.1, 1)
 			h *= fac
-			if h < 1e-14*math.Max(1, math.Abs(t)) {
-				return st, fmt.Errorf("%w at t=%g (h=%g)", ErrStepSizeUnderflow, t, h)
-			}
 		}
 	}
 	return st, nil

@@ -2,12 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/noise"
+	"repro/internal/ode"
 	"repro/internal/sim"
 )
 
@@ -193,5 +195,29 @@ func TestTorusRadiusPastSidesRuns(t *testing.T) {
 	}
 	if sum.Stats.Steps == 0 || len(sum.Gaps) != 5 {
 		t.Errorf("summary %+v, want solver steps and 5 gaps", sum)
+	}
+}
+
+// kuramotoZeroStep is a Kuramoto spec whose 1e300 frequencies overflow
+// the solver's initial-step norm, so the first step size comes out 0.
+const kuramotoZeroStep = `{"family":"kuramoto","kuramoto":{"n":2,"k":1e-300,"freq_mean":1e300,"freq_std":40,"seed":3},"samples":2,"t_end":0.5}`
+
+// TestZeroInitialStepFailsFast checks that a zero step size fails as a
+// step-size underflow at once instead of being accepted until MaxSteps.
+func TestZeroInitialStepFailsFast(t *testing.T) {
+	spec, err := Load(strings.NewReader(kuramotoZeroStep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, tEnd, samples, err := spec.BuildSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.RunStream(sys, tEnd, samples, sim.SinkFunc(func(float64, []float64) {}))
+	if !errors.Is(err, ode.ErrStepSizeUnderflow) {
+		t.Fatalf("err = %v, want ode.ErrStepSizeUnderflow", err)
+	}
+	if st.Evals >= 100 {
+		t.Errorf("%d evaluations before the error, want < 100", st.Evals)
 	}
 }
