@@ -412,11 +412,14 @@ func BenchmarkAblationKappaRule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := m.Run(120, 1201)
+		det, err := core.NewWaveDetector(m, 16, 10, 0.15)
 		if err != nil {
 			b.Fatal(err)
 		}
-		wf, err := res.MeasureWave(16, 10, 0.15)
+		if _, err := sim.RunStream(m, 120, 1201, det); err != nil {
+			b.Fatal(err)
+		}
+		wf, err := det.Finish()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -463,13 +466,14 @@ func BenchmarkAblationNoiseDecay(b *testing.B) {
 		}
 		// Residual spread 30 periods after the delay window measures how
 		// much of the wave survives.
-		spread := res.SpreadTimeline()
+		spread := &sim.SpreadAccumulator{KeepTimeline: true}
+		sim.Replay(spread, res.Ts, res.Theta)
 		for k, t := range res.Ts {
 			if t >= 42 {
-				return spread[k]
+				return spread.Timeline[k]
 			}
 		}
-		return spread[len(spread)-1]
+		return spread.Final()
 	}
 	b.ReportAllocs()
 	var silent, noisy float64

@@ -17,6 +17,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/viz"
@@ -75,16 +76,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := m.Run(300, 601)
+	lock := &sim.LockAccumulator{FinalFraction: 0.2}
+	var final []float64
+	keepFinal := sim.SinkFunc(func(_ float64, theta []float64) {
+		final = append(final[:0], theta...)
+	})
+	run, err := sim.RunSummaryTo(m, 300, 601, 0, 0.1, lock, keepFinal)
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, _ := stats.OrderParameter(res.FinalPhases())
+	r, _ := stats.OrderParameter(final)
 	fmt.Printf("\nmodel (desync σ=%.1f): asymptotic order parameter r = %.3f, spread %.2f rad, freq-locked %v\n",
-		sigma, r, res.AsymptoticSpread(0.1), res.FrequencyLocked(0.2, 1e-2))
+		sigma, r, run.AsymptoticSpread, lock.Locked(1e-2))
 
 	// Gap statistics along the x-direction of the torus.
-	final := res.FinalPhases()
 	var gapsX []float64
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx-1; x++ {

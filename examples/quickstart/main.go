@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/viz"
 	"repro/pom"
 )
@@ -35,17 +37,26 @@ func main() {
 		log.Fatal(err)
 	}
 
-	wave, err := res.MeasureWave(5, 10, 0.15)
+	// The run keeps its rows for the phase strip; replay them once
+	// through the idle-wave and resynchronization sinks.
+	detector, err := core.NewWaveDetector(model, 5, 10, 0.15)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resync := &sim.ResyncDetector{Eps: 0.1}
+	sim.Replay(sim.Tee(detector, resync), res.Ts, res.Theta)
+
+	wave, err := detector.Finish()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("idle wave: %.2f ranks/period (R² = %.2f), reached %d of 24 ranks\n",
 		wave.SpeedRanksPerPeriod, wave.R2, wave.Reached)
 
-	if t, err := res.ResyncTime(0.1); err == nil {
+	if t, err := resync.ResyncTime(); err == nil {
 		fmt.Printf("system resynchronized at t = %.1f periods\n", t)
 	} else {
-		fmt.Println("system did not resynchronize:", err)
+		fmt.Println("system did not resynchronize")
 	}
 
 	fmt.Println("\nphase strip (one row per sampled time, digits = lag):")

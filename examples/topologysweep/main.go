@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/viz"
 	"repro/pom"
 )
@@ -31,11 +33,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := model.Run(120, 1201)
-		if err != nil {
-			log.Fatal(err)
-		}
-		wf, err := res.MeasureWave(n/2, 10, 0.15)
+		wf, err := measureWave(model, n/2)
 		if err != nil {
 			rows = append(rows, [][]string{{fmt.Sprintf("%g", bk), "no wave", "-"}}...)
 			continue
@@ -69,11 +67,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := model.Run(120, 1201)
-		if err != nil {
-			log.Fatal(err)
-		}
-		wf, err := res.MeasureWave(n/2, 10, 0.15)
+		wf, err := measureWave(model, n/2)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,4 +81,18 @@ func main() {
 	fmt.Print(viz.Table([]string{"stencil", "βκ", "speed [ranks/period]"}, rows))
 	fmt.Println("\nLarger βκ — via protocol, wait mode, or stencil reach — makes the")
 	fmt.Println("system stiffer and the idle wave faster, §5.1.1.")
+}
+
+// measureWave runs the model for 120 periods and streams the rows into
+// an idle-wave detector for the delay at rank origin, t = 10. A failed
+// run is fatal; the error returned is the detector's.
+func measureWave(model *pom.Model, origin int) (pom.WaveFront, error) {
+	detector, err := core.NewWaveDetector(model, origin, 10, 0.15)
+	if err != nil {
+		return pom.WaveFront{}, err
+	}
+	if _, err := sim.RunStream(model, 120, 1201, detector); err != nil {
+		log.Fatal(err)
+	}
+	return detector.Finish()
 }

@@ -8,8 +8,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
+	"repro/internal/sim"
 	"repro/pom"
 )
 
@@ -25,20 +25,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := model.Run(400, 801)
+	// The summary averages gaps and spread over the last 10% of the run;
+	// the lock test takes the secant over the last 20%.
+	lock := &sim.LockAccumulator{FinalFraction: 0.2}
+	sum, err := sim.RunSummaryTo(model, 400, 801, 0, 0.1, lock)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gaps := res.AsymptoticGaps(0.1)
-	var mean float64
-	for _, g := range gaps {
-		mean += math.Abs(g)
-	}
-	mean /= float64(len(gaps))
 	fmt.Printf("model: settled |adjacent gap| = %.4f rad (theory 2σ/3 = %.4f)\n",
-		mean, 2*sigma/3)
+		sum.MeanAbsGap, 2*sigma/3)
 	fmt.Printf("model: frequency locked = %v, asymptotic spread = %.2f rad\n",
-		res.FrequencyLocked(0.2, 1e-2), res.AsymptoticSpread(0.1))
+		lock.Locked(1e-2), sum.AsymptoticSpread)
 
 	// --- MPI trace side -------------------------------------------------
 	tp, err := pom.NextNeighbor(n, false)

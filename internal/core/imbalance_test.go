@@ -33,7 +33,7 @@ func TestStaticImbalancePinsTheSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FrequencyLocked(0.2, 1e-2) {
+	if !frequencyLocked(res, 0.2, 1e-2) {
 		t.Fatal("imbalanced system must still frequency-lock (tanh coupling)")
 	}
 	// Conservation law: the locked frequency is the mean of the natural
@@ -81,7 +81,7 @@ func TestImbalanceTooStrongForCoupling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread := res.SpreadTimeline()
+	spread := spreadTimeline(res)
 	// The spread must keep growing (no lock): final much larger than
 	// mid-run.
 	mid, last := spread[len(spread)/2], spread[len(spread)-1]
@@ -116,10 +116,10 @@ func TestImbalanceWithDesyncPotential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FrequencyLocked(0.2, 1e-2) {
+	if !frequencyLocked(res, 0.2, 1e-2) {
 		t.Error("mildly imbalanced wavefront must lock")
 	}
-	gaps := res.AsymptoticGaps(0.1)
+	gaps := asymptoticGaps(res, 0.1)
 	want := 2 * sigma / 3
 	for i, g := range gaps {
 		if math.Abs(math.Abs(g)-want) > 0.2 {

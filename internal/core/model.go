@@ -346,7 +346,10 @@ func (m *Model) rhsDelayed(t float64, y []float64, past ode.Past, dydt []float64
 	}
 }
 
-// Result is a completed POM integration.
+// Result is a completed POM integration: the recorded rows that phase
+// strips and plots draw. Run metrics come from the streaming sinks
+// (package sim's accumulators, WaveDetector), run in the solve or
+// replayed over these rows with sim.Replay.
 type Result struct {
 	// Ts are the sample times.
 	Ts []float64
@@ -442,9 +445,6 @@ func (r *Result) NormalizedPhases() [][]float64 {
 	return out
 }
 
-// PhaseAt returns the phase vector at sample k.
-func (r *Result) PhaseAt(k int) []float64 { return r.Theta[k] }
-
 // FinalPhases returns the last sampled phase vector.
 func (r *Result) FinalPhases() []float64 {
 	if len(r.Theta) == 0 {
@@ -453,12 +453,20 @@ func (r *Result) FinalPhases() []float64 {
 	return r.Theta[len(r.Theta)-1]
 }
 
-// PotentialTimeline returns V(θ_j − θ_i) for a fixed pair (i, j) over all
-// samples — the third visualization mode of §3.2.
-func (r *Result) PotentialTimeline(i, j int) []float64 {
-	out := make([]float64, len(r.Theta))
-	for k, th := range r.Theta {
-		out[k] = r.Model.cfg.Potential.Eval(th[j] - th[i])
+// FrequencyTimeline returns the numerically differentiated instantaneous
+// frequency of each oscillator (rows: samples−1).
+func (r *Result) FrequencyTimeline() [][]float64 {
+	if len(r.Ts) < 2 {
+		return nil
+	}
+	out := make([][]float64, len(r.Ts)-1)
+	for k := 1; k < len(r.Ts); k++ {
+		dt := r.Ts[k] - r.Ts[k-1]
+		row := make([]float64, len(r.Theta[k]))
+		for i := range row {
+			row[i] = (r.Theta[k][i] - r.Theta[k-1][i]) / dt
+		}
+		out[k-1] = row
 	}
 	return out
 }

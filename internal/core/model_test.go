@@ -147,14 +147,14 @@ func TestResyncAfterPerturbationTanh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := res.ResyncTime(0.05)
+	rt, err := resyncTime(res, 0.05)
 	if err != nil {
 		t.Fatalf("system did not resynchronize: %v", err)
 	}
 	if rt <= 0 || rt >= 40 {
 		t.Errorf("resync time = %v", rt)
 	}
-	spread := res.SpreadTimeline()
+	spread := spreadTimeline(res)
 	if spread[0] < 2 {
 		t.Errorf("initial spread = %v, want ≈ 2.5", spread[0])
 	}
@@ -191,14 +191,14 @@ func TestDesyncFormsWavefront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gaps := res.AsymptoticGaps(0.1)
+	gaps := asymptoticGaps(res, 0.1)
 	want := 2 * sigma / 3
 	for i, g := range gaps {
 		if math.Abs(math.Abs(g)-want) > 0.12 {
 			t.Errorf("gap %d = %v, want ±%v (wavefront)", i, g, want)
 		}
 	}
-	if !res.FrequencyLocked(0.2, 1e-3) {
+	if !frequencyLocked(res, 0.2, 1e-3) {
 		t.Error("wavefront state must be frequency-locked")
 	}
 }
@@ -224,7 +224,7 @@ func TestDesyncLockstepUnstable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread := res.SpreadTimeline()
+	spread := spreadTimeline(res)
 	if spread[len(spread)-1] < 10*spread[0] {
 		t.Errorf("perturbation did not grow: initial %v, final %v",
 			spread[0], spread[len(spread)-1])
@@ -250,7 +250,7 @@ func TestDesynchronizedInitHoldsSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 2 * sigma / 3
-	for _, g := range res.AsymptoticGaps(0.2) {
+	for _, g := range asymptoticGaps(res, 0.2) {
 		if math.Abs(g-want) > 0.05 {
 			t.Errorf("gap drifted from wavefront: %v, want %v", g, want)
 		}
@@ -268,7 +268,7 @@ func TestOneOffDelayLaunchesIdleWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wf, err := res.MeasureWave(5, 5, 0.15)
+	wf, err := measureWave(res, 5, 5, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestOneOffDelayLaunchesIdleWave(t *testing.T) {
 		t.Errorf("arrival not ordered: rank6 %v, rank17 %v", t6, t12)
 	}
 	// And the system must eventually resynchronize (scalable program).
-	if _, err := res.ResyncTime(0.1); err != nil {
+	if _, err := resyncTime(res, 0.1); err != nil {
 		t.Errorf("no resync after idle wave: %v", err)
 	}
 }
@@ -303,7 +303,7 @@ func TestWaveSpeedGrowsWithCoupling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wf, err := res.MeasureWave(12, 5, 0.15)
+		wf, err := measureWave(res, 12, 5, 0.15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestInteractionNoiseDDEPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := res.SpreadTimeline(); s[len(s)-1] > 0.1 {
+	if s := spreadTimeline(res); s[len(s)-1] > 0.1 {
 		t.Errorf("delayed-coupling system failed to sync: spread %v", s[len(s)-1])
 	}
 }
@@ -370,7 +370,7 @@ func TestLocalNoiseJitterKeepsSystemBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Under small noise, the tanh coupling keeps the spread small.
-	if s := res.AsymptoticSpread(0.3); s > 1 {
+	if s := asymptoticSpread(res, 0.3); s > 1 {
 		t.Errorf("noisy spread = %v, want < 1", s)
 	}
 }
@@ -383,24 +383,6 @@ func TestRunErrors(t *testing.T) {
 		} else if !strings.HasPrefix(err.Error(), "core: ") {
 			t.Errorf("tEnd %v: error %q lacks the core: prefix", tEnd, err)
 		}
-	}
-}
-
-func TestPotentialTimeline(t *testing.T) {
-	cfg := baseConfig(t, 4)
-	cfg.Init = CustomPhases
-	cfg.InitialPhases = []float64{0, 1, 0, 0}
-	m, _ := New(cfg)
-	res, err := m.Run(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := res.PotentialTimeline(0, 1)
-	if len(pt) != 3 {
-		t.Fatalf("timeline length %d", len(pt))
-	}
-	if math.Abs(pt[0]-math.Tanh(1)) > 1e-9 {
-		t.Errorf("V at t=0: %v, want tanh(1)", pt[0])
 	}
 }
 

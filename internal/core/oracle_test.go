@@ -9,14 +9,35 @@ import (
 	"repro/internal/stats"
 )
 
-// The trajectory-walking bodies of the Result metrics, kept verbatim from
-// before the metrics replayed their rows through the streaming sinks. They
-// are the references the sinks are pinned against bit for bit; only the
-// receiver became the first parameter.
+// The trajectory-walking bodies of the run metrics, kept verbatim from the
+// materialized Result methods they once were. They are the references the
+// streaming sinks are pinned against bit for bit; only the receiver became
+// the first parameter. A final fraction of 0 here means the final sample
+// alone (the final two for the lock test), the way a negative fraction
+// does for the sinks.
 
-// oracleResyncTime is the trajectory walk of Result.ResyncTime.
+// oracleSpreadTimeline is the phase spread of every sample row.
+func oracleSpreadTimeline(r *Result) []float64 {
+	out := make([]float64, len(r.Theta))
+	for k, th := range r.Theta {
+		out[k] = stats.PhaseSpread(th)
+	}
+	return out
+}
+
+// oracleOrderTimeline is the Kuramoto order parameter r of every sample
+// row.
+func oracleOrderTimeline(r *Result) []float64 {
+	out := make([]float64, len(r.Theta))
+	for k, th := range r.Theta {
+		out[k], _ = stats.OrderParameter(th)
+	}
+	return out
+}
+
+// oracleResyncTime is the trajectory walk of the resynchronization time.
 func oracleResyncTime(r *Result, eps float64) (float64, error) {
-	spread := r.SpreadTimeline()
+	spread := oracleSpreadTimeline(r)
 	idx := -1
 	for k := len(spread) - 1; k >= 0; k-- {
 		if spread[k] >= eps {
@@ -30,7 +51,7 @@ func oracleResyncTime(r *Result, eps float64) (float64, error) {
 	return r.Ts[idx], nil
 }
 
-// oracleAsymptoticSpread is the trajectory walk of Result.AsymptoticSpread.
+// oracleAsymptoticSpread is the trajectory walk of the asymptotic spread.
 func oracleAsymptoticSpread(r *Result, finalFraction float64) float64 {
 	n := len(r.Theta)
 	if n == 0 {
@@ -43,7 +64,7 @@ func oracleAsymptoticSpread(r *Result, finalFraction float64) float64 {
 	if start >= n {
 		start = n - 1
 	}
-	spread := r.SpreadTimeline()
+	spread := oracleSpreadTimeline(r)
 	var sum float64
 	for k := start; k < n; k++ {
 		sum += spread[k]
@@ -51,7 +72,7 @@ func oracleAsymptoticSpread(r *Result, finalFraction float64) float64 {
 	return sum / float64(n-start)
 }
 
-// oracleAsymptoticGaps is the trajectory walk of Result.AsymptoticGaps.
+// oracleAsymptoticGaps is the trajectory walk of the asymptotic gaps.
 func oracleAsymptoticGaps(r *Result, finalFraction float64) []float64 {
 	n := len(r.Theta)
 	if n == 0 {
@@ -83,7 +104,7 @@ func oracleAsymptoticGaps(r *Result, finalFraction float64) []float64 {
 	return gaps
 }
 
-// oracleMeasureWave is the trajectory walk of Result.MeasureWave.
+// oracleMeasureWave is the trajectory walk of the idle-wave front.
 func oracleMeasureWave(r *Result, origin int, delayStart float64, threshold float64) (WaveFront, error) {
 	n := r.Model.cfg.N
 	if origin < 0 || origin >= n {
@@ -151,7 +172,7 @@ func oracleMeasureWave(r *Result, origin int, delayStart float64, threshold floa
 	return wf, nil
 }
 
-// oracleFrequencyLocked is the trajectory walk of Result.FrequencyLocked.
+// oracleFrequencyLocked is the trajectory walk of the frequency-lock test.
 func oracleFrequencyLocked(r *Result, finalFraction, tol float64) bool {
 	n := len(r.Ts)
 	if n < 3 {
@@ -196,13 +217,13 @@ func sameErr(a, b error) bool {
 	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
 }
 
-// TestResultMetricsMatchOracles compares each Result metric, which replays
-// its rows through a streaming sink, with its trajectory-walking oracle:
-// bit for bit, error values included, for final fractions 0, 0.15 and 1.
-// A final fraction of 0 means the final sample alone (the final two for
-// FrequencyLocked), while the accumulators read 0 as their default
-// window; the delay run and the lock rows tell the two apart, and the
-// one-sample and empty Results cover the window clamps.
+// TestResultMetricsMatchOracles replays recorded rows through each
+// metric's streaming sink and compares the result with the metric's
+// trajectory-walking oracle: bit for bit, error values included, for sink
+// final fractions −1 (the final sample alone; the final two for the lock
+// test), 0 (the sink's default window), 0.15 and 1. The delay run and the
+// lock rows tell the windows apart, and the one-sample and empty Results
+// cover the window clamps.
 func TestResultMetricsMatchOracles(t *testing.T) {
 	cfg := baseConfig(t, 16)
 	cfg.LocalNoise = noise.Delay{Rank: 3, Start: 10, Duration: 1, Extra: 20}
@@ -233,13 +254,18 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 		"empty":      {Model: m},
 	}
 	for name, r := range results {
-		for _, ff := range []float64{0, 0.15, 1} {
-			if got, want := r.AsymptoticSpread(ff), oracleAsymptoticSpread(r, ff); !sameFloat(got, want) {
-				t.Errorf("%s ff=%v: AsymptoticSpread %v, oracle %v", name, ff, got, want)
+		for _, ff := range []float64{-1, 0, 0.15, 1} {
+			// The oracles take the window the sink reads ff as.
+			oracleFF, oracleLockFF := ff, ff
+			if ff == 0 {
+				oracleFF, oracleLockFF = 0.15, 0.2
 			}
-			got, want := r.AsymptoticGaps(ff), oracleAsymptoticGaps(r, ff)
-			if (got == nil) != (want == nil) || len(got) != len(want) {
-				t.Errorf("%s ff=%v: AsymptoticGaps %v, oracle %v", name, ff, got, want)
+			if got, want := asymptoticSpread(r, ff), oracleAsymptoticSpread(r, oracleFF); !sameFloat(got, want) {
+				t.Errorf("%s ff=%v: spread sink %v, oracle %v", name, ff, got, want)
+			}
+			got, want := asymptoticGaps(r, ff), oracleAsymptoticGaps(r, oracleFF)
+			if len(got) != len(want) {
+				t.Errorf("%s ff=%v: gap sink %v, oracle %v", name, ff, got, want)
 			}
 			for i := range want {
 				if i < len(got) && !sameFloat(got[i], want[i]) {
@@ -247,25 +273,25 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 				}
 			}
 			for _, tol := range []float64{1e-2, 1e-6} {
-				if got, want := r.FrequencyLocked(ff, tol), oracleFrequencyLocked(r, ff, tol); got != want {
-					t.Errorf("%s ff=%v tol=%v: FrequencyLocked %v, oracle %v", name, ff, tol, got, want)
+				if got, want := frequencyLocked(r, ff, tol), oracleFrequencyLocked(r, oracleLockFF, tol); got != want {
+					t.Errorf("%s ff=%v tol=%v: lock sink %v, oracle %v", name, ff, tol, got, want)
 				}
 			}
 		}
 		for _, eps := range []float64{0.1, 1e-9} {
-			got, gotErr := r.ResyncTime(eps)
+			got, gotErr := resyncTime(r, eps)
 			want, wantErr := oracleResyncTime(r, eps)
-			if !sameFloat(got, want) || !sameErr(gotErr, wantErr) {
-				t.Errorf("%s eps=%v: ResyncTime (%v, %v), oracle (%v, %v)", name, eps, got, gotErr, want, wantErr)
+			if !sameFloat(got, want) || (gotErr == nil) != (wantErr == nil) {
+				t.Errorf("%s eps=%v: resync sink (%v, %v), oracle (%v, %v)", name, eps, got, gotErr, want, wantErr)
 			}
 		}
 		for _, origin := range []int{3, 16} {
-			got, gotErr := r.MeasureWave(origin, 10, 0)
+			got, gotErr := measureWave(r, origin, 10, 0)
 			if len(r.Theta) == 0 && origin < 16 {
 				// The oracle indexes the pre-delay row and panics on no
-				// samples; the replay reports too few ranks instead.
+				// samples; the detector reports too few ranks instead.
 				if gotErr == nil {
-					t.Errorf("%s: MeasureWave on no samples returned no error", name)
+					t.Errorf("%s: wave detector on no samples returned no error", name)
 				}
 				continue
 			}
@@ -273,7 +299,7 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 			if !sameErr(gotErr, wantErr) || got.Origin != want.Origin || got.Reached != want.Reached ||
 				!sameFloat(got.Speed, want.Speed) || !sameFloat(got.SpeedRanksPerPeriod, want.SpeedRanksPerPeriod) ||
 				!sameFloat(got.R2, want.R2) || len(got.ArrivalTime) != len(want.ArrivalTime) {
-				t.Errorf("%s origin=%d: MeasureWave (%+v, %v), oracle (%+v, %v)", name, origin, got, gotErr, want, wantErr)
+				t.Errorf("%s origin=%d: wave detector (%+v, %v), oracle (%+v, %v)", name, origin, got, gotErr, want, wantErr)
 				continue
 			}
 			for i := range want.ArrivalTime {
@@ -283,10 +309,9 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 			}
 		}
 	}
-	// The lock rows must separate the literal zero window from the
-	// accumulator default, or the cases above could not catch a 0 passed
-	// straight through.
-	if !lock.FrequencyLocked(0, 1e-2) || lock.FrequencyLocked(0.2, 1e-2) {
+	// The lock rows must separate the final-two window from the default
+	// window, or the cases above could not tell −1 from 0.
+	if !frequencyLocked(lock, -1, 1e-2) || frequencyLocked(lock, 0, 1e-2) {
 		t.Fatal("lock rows no longer distinguish the final-two window from the default window")
 	}
 }

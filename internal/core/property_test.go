@@ -163,7 +163,7 @@ func TestPropertySpreadNonNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, s := range res.SpreadTimeline() {
+	for k, s := range spreadTimeline(res) {
 		if s < 0 {
 			t.Fatalf("negative spread at sample %d: %v", k, s)
 		}

@@ -7,11 +7,33 @@ import (
 	"repro/internal/stats"
 )
 
+// WaveFront holds the measured propagation of a one-off delay through the
+// oscillator chain.
+type WaveFront struct {
+	// Origin is the delayed rank.
+	Origin int
+	// ArrivalTime[i] is the time the disturbance reached rank i (NaN when
+	// it never did).
+	ArrivalTime []float64
+	// Speed is the fitted propagation speed in ranks per time unit
+	// (absolute value of the regression slope rank-vs-arrival).
+	Speed float64
+	// SpeedRanksPerPeriod is Speed × period: the paper's natural unit.
+	SpeedRanksPerPeriod float64
+	// R2 is the goodness of the linear fit.
+	R2 float64
+	// Reached is the number of ranks the wave arrived at.
+	Reached int
+}
+
 // WaveDetector measures the idle-wave front launched by a one-off delay
-// online — the streaming counterpart of Result.MeasureWave, producing the
-// identical WaveFront: the pre-delay baseline lag is tracked sample by
-// sample, arrivals are detected forward, and the speed fit runs once in
-// Finish.
+// at rank origin, online: the metric's one implementation. Each rank's
+// lag behind undisturbed progress, L_i(t) = ω·t − θ_i(t), is zero until
+// the wave reaches it; the arrival time is the first sample where L_i
+// grows by more than threshold radians over its value at the last sample
+// before the delay. The baseline is tracked sample by sample, arrivals
+// are detected forward, and Finish fits the front speed as the
+// regression slope of rank distance against arrival time.
 type WaveDetector struct {
 	origin        int
 	delayStart    float64
@@ -27,7 +49,7 @@ type WaveDetector struct {
 }
 
 // NewWaveDetector builds a wave detector for the model's topology and
-// frequency. threshold 0 selects 0.15 rad, as in MeasureWave.
+// frequency. threshold 0 selects 0.15 rad.
 func NewWaveDetector(m *Model, origin int, delayStart, threshold float64) (*WaveDetector, error) {
 	if origin < 0 || origin >= m.cfg.N {
 		return nil, errors.New("core: wave origin out of range")
@@ -68,7 +90,7 @@ func (w *WaveDetector) Sample(t float64, theta []float64) {
 	if !w.frozen {
 		if k == 0 || t < w.delayStart {
 			// This sample is (so far) the last one before the delay hits:
-			// it defines the baseline lag, like MeasureWave's k0 row.
+			// it defines the baseline lag.
 			for i := 0; i < w.n; i++ {
 				w.base[i] = w.omega*t - theta[i]
 			}
@@ -89,8 +111,7 @@ func (w *WaveDetector) Sample(t float64, theta []float64) {
 	}
 }
 
-// Finish fits the front speed from the accumulated arrivals and returns
-// the WaveFront MeasureWave would compute on the materialized run.
+// Finish fits the front speed from the accumulated arrivals.
 func (w *WaveDetector) Finish() (WaveFront, error) {
 	wf := WaveFront{Origin: w.origin, ArrivalTime: append([]float64(nil), w.arrival...)}
 	var xs, ys []float64 // x: arrival time, y: distance from origin

@@ -10,6 +10,50 @@ import (
 	"repro/internal/topology"
 )
 
+// The run metrics of a recorded Result, read by replaying its rows
+// through the streaming sink that implements each one. finalFraction is
+// the sink's FinalFraction: 0 selects its default window, and a negative
+// value the final sample alone (the final two for the lock test).
+
+func spreadTimeline(r *Result) []float64 {
+	a := &sim.SpreadAccumulator{KeepTimeline: true}
+	sim.Replay(a, r.Ts, r.Theta)
+	return a.Timeline
+}
+
+func asymptoticSpread(r *Result, finalFraction float64) float64 {
+	a := &sim.SpreadAccumulator{FinalFraction: finalFraction}
+	sim.Replay(a, r.Ts, r.Theta)
+	return a.Asymptotic()
+}
+
+func asymptoticGaps(r *Result, finalFraction float64) []float64 {
+	a := &sim.GapAccumulator{FinalFraction: finalFraction}
+	sim.Replay(a, r.Ts, r.Theta)
+	return a.Gaps()
+}
+
+func frequencyLocked(r *Result, finalFraction, tol float64) bool {
+	a := &sim.LockAccumulator{FinalFraction: finalFraction}
+	sim.Replay(a, r.Ts, r.Theta)
+	return a.Locked(tol)
+}
+
+func resyncTime(r *Result, eps float64) (float64, error) {
+	d := &sim.ResyncDetector{Eps: eps}
+	sim.Replay(d, r.Ts, r.Theta)
+	return d.ResyncTime()
+}
+
+func measureWave(r *Result, origin int, delayStart, threshold float64) (WaveFront, error) {
+	w, err := NewWaveDetector(r.Model, origin, delayStart, threshold)
+	if err != nil {
+		return WaveFront{}, err
+	}
+	sim.Replay(w, r.Ts, r.Theta)
+	return w.Finish()
+}
+
 // streamCase builds one model configuration per (dde, workers) combination
 // so the streamed and materialized runs integrate fresh, identical models.
 func streamCase(t *testing.T, dde bool, workers int) Config {
@@ -84,7 +128,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				t.Errorf("solver stats diverged: streamed %v, materialized %v", stats, res.Stats)
 			}
 
-			wantSpread := res.SpreadTimeline()
+			wantSpread := oracleSpreadTimeline(res)
 			if len(spread.Timeline) != len(wantSpread) {
 				t.Fatalf("spread timeline length %d, want %d", len(spread.Timeline), len(wantSpread))
 			}
@@ -94,7 +138,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 						k, spread.Timeline[k], wantSpread[k])
 				}
 			}
-			wantOrder := res.OrderTimeline()
+			wantOrder := oracleOrderTimeline(res)
 			for k := range wantOrder {
 				if order.Timeline[k] != wantOrder[k] {
 					t.Fatalf("order[%d]: streamed %v, materialized %v", k, order.Timeline[k], wantOrder[k])
@@ -287,42 +331,40 @@ func TestSummaryVector(t *testing.T) {
 	}
 }
 
-// TestAdjacentGapTimelineEmptyRow is the regression test for the
-// make-with-negative-length panic: an empty sample row must produce an
-// empty gap row, not a crash.
+// TestAdjacentGapTimelineEmptyRow carries the empty-row regression of the
+// deleted gap timeline over to the gap sink: an empty sample row among
+// full ones must add nothing to the averaged gaps, not crash.
 func TestAdjacentGapTimelineEmptyRow(t *testing.T) {
 	r := &Result{
 		Ts:    []float64{0, 1, 2},
 		Theta: [][]float64{{1, 2, 4}, {}, {2, 3, 5}},
 	}
-	gaps := r.AdjacentGapTimeline()
-	if len(gaps) != 3 {
-		t.Fatalf("got %d rows, want 3", len(gaps))
+	gaps := asymptoticGaps(r, 1)
+	if len(gaps) != 2 {
+		t.Fatalf("got %d gaps, want 2", len(gaps))
 	}
-	if len(gaps[1]) != 0 {
-		t.Errorf("empty sample row must yield an empty gap row, got %v", gaps[1])
-	}
-	if gaps[0][0] != 1 || gaps[0][1] != 2 || gaps[2][1] != 2 {
-		t.Errorf("gap values wrong: %v", gaps)
+	// Rows 0 and 2 contribute gaps (1, 2) each, and all three rows count.
+	if gaps[0] != 2.0/3 || gaps[1] != 4.0/3 {
+		t.Errorf("gaps = %v, want [2/3 4/3]", gaps)
 	}
 }
 
 // TestAsymptoticGapsNilModel is the regression test for the nil-Model
-// dereference: a hand-built Result (no Model attached) must derive the
-// gap width from its sample rows.
+// dereference: rows recorded without a Model must give the gap sink its
+// width from the rows themselves.
 func TestAsymptoticGapsNilModel(t *testing.T) {
 	r := &Result{
 		Ts:    []float64{0, 1},
 		Theta: [][]float64{{0, 1, 3}, {0, 2, 6}},
 	}
-	gaps := r.AsymptoticGaps(1)
+	gaps := asymptoticGaps(r, 1)
 	if len(gaps) != 2 {
 		t.Fatalf("got %d gaps, want 2", len(gaps))
 	}
 	if gaps[0] != 1.5 || gaps[1] != 3 {
 		t.Errorf("gaps = %v, want [1.5 3]", gaps)
 	}
-	if out := (&Result{}).AsymptoticGaps(0.5); out != nil {
-		t.Errorf("empty result must yield nil gaps, got %v", out)
+	if out := asymptoticGaps(&Result{}, 0.5); len(out) != 0 {
+		t.Errorf("no rows must yield no gaps, got %v", out)
 	}
 }

@@ -7,11 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// asymptoticOrder averages r(t) over the final fraction of a run (the
-// final sample alone for finalFraction 0) by replaying its rows through
-// sim.OrderAccumulator, the metric's one implementation.
+// asymptoticOrder averages r(t) over the final fraction of a run by
+// replaying its rows through sim.OrderAccumulator, the metric's one
+// implementation: 0 selects its default window, and a negative fraction
+// the final sample alone.
 func asymptoticOrder(r *sim.Result, finalFraction float64) float64 {
-	a := &sim.OrderAccumulator{FinalFraction: sim.LiteralFraction(finalFraction)}
+	a := &sim.OrderAccumulator{FinalFraction: finalFraction}
 	sim.Replay(a, r.Ts, r.Ys)
 	return a.Asymptotic()
 }

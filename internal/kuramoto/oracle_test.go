@@ -95,11 +95,11 @@ func replaySlips(r *sim.Result) int {
 
 // TestResultMetricsMatchOracles compares asymptoticOrder and replaySlips,
 // which replay recorded rows through OrderAccumulator and SlipCounter,
-// with their trajectory-walking oracles bit for bit, for final fractions 0,
-// 0.15, 0.25 and 1 on a slipping run, a 40-oscillator run past the
-// locking threshold, one sample and no samples. A final fraction of 0
-// means the final sample alone, while the accumulator reads 0 as its
-// default window; the run tells the two apart.
+// with their trajectory-walking oracles bit for bit, for accumulator final
+// fractions −1 (the final sample alone), 0 (the default window, 0.15),
+// 0.15, 0.25 and 1 on a slipping run, a 40-oscillator run past the locking
+// threshold, one sample and no samples. The oracle reads a final fraction
+// of 0 as the final sample alone; the run tells the windows apart.
 func TestResultMetricsMatchOracles(t *testing.T) {
 	run := mustRun(t, Config{N: 10, K: 0.4, FreqStd: 1, Seed: 11, SpreadInitial: true}, 60, 301)
 	results := map[string]*sim.Result{
@@ -109,8 +109,12 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 		"empty":        {},
 	}
 	for name, r := range results {
-		for _, ff := range []float64{0, 0.15, 0.25, 1} {
-			got, want := asymptoticOrder(r, ff), oracleAsymptoticOrder(r, ff)
+		for _, ff := range []float64{-1, 0, 0.15, 0.25, 1} {
+			oracleFF := ff
+			if ff == 0 {
+				oracleFF = 0.15
+			}
+			got, want := asymptoticOrder(r, ff), oracleAsymptoticOrder(r, oracleFF)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s ff=%v: asymptoticOrder %v, oracle %v", name, ff, got, want)
 			}
@@ -119,7 +123,7 @@ func TestResultMetricsMatchOracles(t *testing.T) {
 			t.Errorf("%s: replayed slips %d, oracle %d", name, got, want)
 		}
 	}
-	if asymptoticOrder(run, 0) == oracleAsymptoticOrder(run, 0.15) {
+	if asymptoticOrder(run, -1) == asymptoticOrder(run, 0) {
 		t.Fatal("the run no longer distinguishes the final-sample window from the default window")
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // finalWindow is the one asymptotic-window start index of every windowed
-// metric, streamed or materialized (core.Result.AsymptoticSpread and
-// friends replay their rows through these accumulators): the last
-// finalFraction of n samples, clamped to at least the final sample.
+// metric: the last finalFraction of n samples, clamped to at least the
+// final sample, which is the whole window for any negative fraction.
 func finalWindow(n int, finalFraction float64) int {
 	start := n - int(float64(n)*finalFraction)
 	if start < 0 {
@@ -23,27 +22,14 @@ func finalWindow(n int, finalFraction float64) int {
 	return start
 }
 
-// LiteralFraction returns the FinalFraction field value that makes an
-// accumulator use finalFraction as given. The accumulators read a zero
-// fraction as their default window, while a literal zero window holds only
-// the final sample (the last two for LockAccumulator). Any negative
-// fraction clamps to exactly that window, so zero maps to −1 and every
-// other value passes through.
-func LiteralFraction(finalFraction float64) float64 {
-	if finalFraction == 0 {
-		return -1
-	}
-	return finalFraction
-}
-
-// SpreadAccumulator computes the phase-spread metrics of a run online:
-// per sample it evaluates the same stats.PhaseSpread as the materialized
-// SpreadTimeline. Its Asymptotic value is the one implementation of
-// core.Result.AsymptoticSpread, which replays its rows through it; the
-// tests pin it bit for bit to the trajectory-walking oracle.
+// SpreadAccumulator computes the phase-spread metrics of a run online,
+// from one stats.PhaseSpread per sample. Its Asymptotic value is the one
+// implementation of the asymptotic spread; the tests pin it bit for bit
+// to the trajectory-walking oracle.
 type SpreadAccumulator struct {
 	// FinalFraction sets the asymptotic averaging window; 0 means 0.15
-	// (the window the report paths use).
+	// (the window the report paths use), and a negative value the final
+	// sample alone.
 	FinalFraction float64
 	// KeepTimeline retains the full per-sample spread series in Timeline —
 	// O(nSamples) memory, for plots and the bitwise pinning tests. Leave
@@ -106,8 +92,8 @@ func (a *SpreadAccumulator) Asymptotic() float64 {
 	return a.sum / float64(a.k-a.start)
 }
 
-// OrderAccumulator computes the Kuramoto order parameter r(t) online —
-// per sample identical to core.Result.OrderTimeline. Its Asymptotic value
+// OrderAccumulator computes the Kuramoto order parameter r(t) online,
+// from one stats.OrderParameter per sample. Its Asymptotic value
 // is the r∞ of kuramoto.SweepCoupling; the tests pin it bit for bit to the
 // trajectory-walking oracle (same additions in the same order over the
 // same window).
@@ -197,8 +183,8 @@ func (a *OrderAccumulator) Asymptotic() float64 {
 // ResyncDetector finds the resynchronization time online: the first sample
 // time at which the phase spread drops below Eps and stays below it for
 // the rest of the run, computed forward by tracking the start of the
-// current below-Eps run. core.Result.ResyncTime replays its rows through
-// it, and the tests pin it to the backward-scanning oracle.
+// current below-Eps run. The tests pin it to the backward-scanning
+// oracle.
 type ResyncDetector struct {
 	// Eps is the spread threshold (the report paths use 0.1).
 	Eps float64
@@ -234,8 +220,8 @@ func (d *ResyncDetector) ResyncTime() (float64, error) {
 }
 
 // GapAccumulator time-averages the adjacent phase gaps θ_{i+1} − θ_i over
-// the final window: the one implementation of core.Result.AsymptoticGaps,
-// pinned bit for bit to the trajectory-walking oracle.
+// the final window: the metric's one implementation, pinned bit for bit
+// to the trajectory-walking oracle.
 type GapAccumulator struct {
 	// FinalFraction sets the averaging window; 0 means 0.15.
 	FinalFraction float64
@@ -307,11 +293,11 @@ func (a *GapAccumulator) MeanAbsGap() float64 {
 // The mean frequency of each component over the final window is the
 // secant (y(t_end) − y(t_start)) / Δt; the system is locked when the
 // frequency range is within a relative tolerance of its midpoint. It is
-// the one implementation of core.Result.FrequencyLocked, which replays
-// its rows through it; the tests pin it to the trajectory-walking oracle.
+// the metric's one implementation; the tests pin it to the
+// trajectory-walking oracle.
 type LockAccumulator struct {
 	// FinalFraction sets the averaging window; 0 means 0.2 (the report
-	// default).
+	// default), and a negative value the final two samples.
 	FinalFraction float64
 
 	n, k, start int

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/potential"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -208,16 +209,11 @@ func TestParallelSigmaSweep(t *testing.T) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := m.Run(300, 301)
+			sum, err := sim.RunSummary(m, 300, 301, 0, 0.1)
 			if err != nil {
 				return 0, err
 			}
-			gaps := res.AsymptoticGaps(0.1)
-			var mean float64
-			for _, g := range gaps {
-				mean += math.Abs(g)
-			}
-			return mean / float64(len(gaps)), nil
+			return sum.MeanAbsGap, nil
 		},
 		func(i int, _ float64, gap float64) { gaps[i] = gap })
 	if err != nil {

@@ -4,14 +4,17 @@
 //
 // The three entry points mirror how the paper is used in practice:
 //
-//   - NewModel / Model.Run integrate the coupled-oscillator system (Eq. 2)
-//     for a chosen potential, topology, and noise configuration;
 //   - Scalable and Bottlenecked build the two canonical scenario
-//     configurations of §5 in one call;
+//     configurations of §5 in one call, and NextNeighbor, Stencil and
+//     OneOffDelay adjust their topology and noise;
+//   - NewModel / Model.Run integrate the coupled-oscillator system
+//     (Eq. 2) and return the recorded phase rows;
 //   - SimulateMPI runs the matching bulk-synchronous MPI program on the
 //     discrete-event cluster simulator for trace-level validation.
 //
-// See the examples/ directory for complete programs.
+// Run metrics (idle-wave speed, resynchronization time, phase spread,
+// adjacent gaps, frequency locking) come from the streaming sinks of the
+// internal packages. See the examples/ directory for complete programs.
 package pom
 
 import (
@@ -31,7 +34,7 @@ type (
 	Config = core.Config
 	// Model is a configured oscillator system.
 	Model = core.Model
-	// Result is a completed integration with analysis methods.
+	// Result is a completed integration: the recorded phase rows.
 	Result = core.Result
 	// WaveFront is a measured idle-wave propagation front.
 	WaveFront = core.WaveFront
@@ -64,16 +67,6 @@ const (
 // NewModel validates cfg and builds an oscillator model.
 func NewModel(cfg Config) (*Model, error) { return core.New(cfg) }
 
-// TanhPotential returns the synchronizing potential of Eq. (3).
-func TanhPotential() Potential { return potential.Tanh{} }
-
-// DesyncPotential returns the desynchronizing potential of Eq. (4) with
-// interaction horizon sigma.
-func DesyncPotential(sigma float64) Potential { return potential.NewDesync(sigma) }
-
-// KuramotoPotential returns the classic sine coupling of Eq. (1).
-func KuramotoPotential() Potential { return potential.KuramotoSine{} }
-
 // NextNeighbor returns the d = ±1 stencil topology.
 func NextNeighbor(n int, periodic bool) (*Topology, error) {
 	return topology.NextNeighbor(n, periodic)
@@ -84,21 +77,12 @@ func Stencil(n int, offsets []int, periodic bool) (*Topology, error) {
 	return topology.Stencil(n, offsets, periodic)
 }
 
-// AllToAll returns full Kuramoto-style connectivity.
-func AllToAll(n int) (*Topology, error) { return topology.AllToAll(n) }
-
 // OneOffDelay returns local noise that freezes rank for duration·period
 // starting at start — the paper's idle-wave trigger. period is the
 // oscillator period; the injected extra slowdown is 100 periods, which
 // effectively halts the oscillator for the window.
 func OneOffDelay(rank int, start, duration, period float64) noise.Local {
 	return noise.Delay{Rank: rank, Start: start, Duration: duration, Extra: 100 * period}
-}
-
-// GaussianJitter returns frozen Gaussian period noise with standard
-// deviation sigma, refreshed every refresh time units.
-func GaussianJitter(sigma, refresh float64, seed uint64) noise.Local {
-	return noise.Jitter{Dist: noise.Gaussian, Amp: sigma, Refresh: refresh, Seed: seed}
 }
 
 // Scalable returns the canonical resource-scalable configuration of
@@ -132,9 +116,6 @@ func Bottlenecked(n int, sigma float64) Config {
 // Meggie returns the paper's primary benchmark machine model.
 func Meggie(sockets int) MachineConfig { return cluster.Meggie(sockets) }
 
-// SuperMUCNG returns the paper's second benchmark machine model.
-func SuperMUCNG(sockets int) MachineConfig { return cluster.SuperMUCNG(sockets) }
-
 // MPIResult is a completed MPI-simulation with its trace.
 type MPIResult = cluster.Result
 
@@ -164,7 +145,5 @@ func SimulateMPI(mc MachineConfig, tp *Topology, k Kernel, iters int,
 	return engine.Run()
 }
 
-// STREAM, Schoenauer and Pisolver return the paper's three kernels.
-func STREAM() Kernel     { return kernels.STREAM() }
-func Schoenauer() Kernel { return kernels.Schoenauer() }
-func Pisolver() Kernel   { return kernels.Pisolver() }
+// STREAM returns the paper's memory-bound kernel.
+func STREAM() Kernel { return kernels.STREAM() }

@@ -3,6 +3,10 @@ package pom
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/kernels"
+	"repro/internal/sim"
 )
 
 func TestScalableScenarioResyncs(t *testing.T) {
@@ -12,14 +16,18 @@ func TestScalableScenarioResyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(80, 401)
+	wave, err := core.NewWaveDetector(m, 5, 5, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.ResyncTime(0.1); err != nil {
+	resync := &sim.ResyncDetector{Eps: 0.1}
+	if _, err := sim.RunStream(m, 80, 401, sim.Tee(resync, wave)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resync.ResyncTime(); err != nil {
 		t.Errorf("scalable scenario did not resync: %v", err)
 	}
-	wf, err := res.MeasureWave(5, 5, 0.15)
+	wf, err := wave.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,28 +43,15 @@ func TestBottleneckedScenarioDesyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(300, 601)
+	sum, err := sim.RunSummary(m, 300, 601, 0, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gaps := res.AsymptoticGaps(0.1)
 	want := 2 * sigma / 3
-	for i, g := range gaps {
+	for i, g := range sum.Gaps {
 		if math.Abs(math.Abs(g)-want) > 0.15 {
 			t.Errorf("gap %d = %v, want ±%v", i, g, want)
 		}
-	}
-}
-
-func TestPotentialConstructors(t *testing.T) {
-	if TanhPotential().Eval(0) != 0 {
-		t.Error("tanh V(0)")
-	}
-	if DesyncPotential(3).Eval(5) != 1 {
-		t.Error("desync saturation")
-	}
-	if math.Abs(KuramotoPotential().Eval(math.Pi/2)-1) > 1e-12 {
-		t.Error("kuramoto sine")
 	}
 }
 
@@ -69,10 +64,6 @@ func TestTopologyConstructors(t *testing.T) {
 	if err != nil || tp.Degree(0) != 2 {
 		t.Errorf("Stencil: %v", err)
 	}
-	tp, err = AllToAll(5)
-	if err != nil || tp.Degree(0) != 4 {
-		t.Errorf("AllToAll: %v", err)
-	}
 }
 
 func TestSimulateMPI(t *testing.T) {
@@ -80,7 +71,7 @@ func TestSimulateMPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateMPI(Meggie(2), tp, Pisolver(), 100, 5, 20, 10)
+	res, err := SimulateMPI(Meggie(2), tp, kernels.Pisolver(), 100, 5, 20, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +86,7 @@ func TestSimulateMPI(t *testing.T) {
 		t.Errorf("wave speed = %v ranks/iter", wm.SpeedRanksPerIter)
 	}
 	// Undisturbed run path.
-	res2, err := SimulateMPI(Meggie(2), tp, Pisolver(), 20, -1, 0, 0)
+	res2, err := SimulateMPI(Meggie(2), tp, kernels.Pisolver(), 20, -1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +95,11 @@ func TestSimulateMPI(t *testing.T) {
 	}
 }
 
-func TestGaussianJitterFacade(t *testing.T) {
-	n := GaussianJitter(0.1, 1, 3)
-	if n.Zeta(0, 0.5) == 0 && n.Zeta(1, 7.5) == 0 {
-		t.Error("jitter silent")
-	}
-}
-
 func TestMachinePresetsFacade(t *testing.T) {
 	if Meggie(4).Cores() != 40 {
 		t.Error("Meggie cores")
 	}
-	if SuperMUCNG(2).Cores() != 48 {
-		t.Error("SuperMUC-NG cores")
-	}
-	if STREAM().Name != "STREAM" || Schoenauer().Name == "" || Pisolver().Name == "" {
-		t.Error("kernel names")
+	if STREAM().Name != "STREAM" {
+		t.Error("kernel name")
 	}
 }
