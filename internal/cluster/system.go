@@ -112,9 +112,6 @@ func (s *TraceSystem) Solver() sim.Solver {
 	return sim.Solver{Atol: 1e-6, Rtol: 1e-6, Hmax: s.hmax}
 }
 
-// End returns the trace makespan — the natural run length.
-func (s *TraceSystem) End() float64 { return s.end }
-
 // SuggestTEnd reports the trace makespan as the natural t_end for specs
 // that leave the run length unset (the scenario layer's suggestion
 // hook: the makespan is only known after the event simulation ran).

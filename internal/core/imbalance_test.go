@@ -40,7 +40,7 @@ func TestStaticImbalancePinsTheSystem(t *testing.T) {
 	// frequencies.
 	ft := res.FrequencyTimeline()
 	locked := ft[len(ft)-1][0]
-	omegaSlow := 2 * math.Pi / (m.Period() + extra)
+	omegaSlow := 2 * math.Pi / (m.period + extra)
 	wantLock := (float64(n-1)*m.Omega() + omegaSlow) / float64(n)
 	if math.Abs(locked-wantLock) > 1e-3 {
 		t.Errorf("locked frequency %v, want mean frequency %v", locked, wantLock)

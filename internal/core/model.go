@@ -196,9 +196,6 @@ func New(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Period returns the natural compute–communicate period.
-func (m *Model) Period() float64 { return m.period }
-
 // Omega returns the natural angular frequency 2π/period.
 func (m *Model) Omega() float64 { return m.omega }
 

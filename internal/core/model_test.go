@@ -71,8 +71,8 @@ func TestDerivedQuantities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Period() != 1 {
-		t.Errorf("Period = %v", m.Period())
+	if m.period != 1 {
+		t.Errorf("period = %v", m.period)
 	}
 	if math.Abs(m.Omega()-2*math.Pi) > 1e-12 {
 		t.Errorf("Omega = %v", m.Omega())

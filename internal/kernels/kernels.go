@@ -33,22 +33,6 @@ type Kernel struct {
 	Bytes float64
 }
 
-// DemandBandwidth returns the kernel's standalone per-core bandwidth draw
-// (bytes/s): Bytes divided by the standalone sweep duration.
-func (k Kernel) DemandBandwidth() float64 {
-	d := k.StandaloneSeconds()
-	if d <= 0 {
-		return 0
-	}
-	return k.Bytes / d
-}
-
-// StandaloneSeconds returns the sweep duration with the socket to itself.
-// The cluster model stretches compute phases only through bandwidth
-// sharing, so the standalone duration equals CoreSeconds (the per-core
-// demand must be calibrated below the single-core achievable bandwidth).
-func (k Kernel) StandaloneSeconds() float64 { return k.CoreSeconds }
-
 // Workload converts the kernel to the cluster simulator's workload type.
 func (k Kernel) Workload() cluster.Workload {
 	return cluster.Workload{Seconds: k.CoreSeconds, Bytes: k.Bytes}

@@ -25,10 +25,8 @@ import (
 // quadrature across the derivative jumps at knots; see Solver). The
 // initial row is exact by construction.
 type Scan struct {
-	from, to float64
-	tEnd     float64
-	h        float64     // knot spacing in t
-	vals     [][]float64 // vals[k] is the row at knot k
+	h    float64     // knot spacing in t
+	vals [][]float64 // vals[k] is the row at knot k
 }
 
 // NewScan precomputes a scan: eval is called at points uniform values of
@@ -49,7 +47,6 @@ func NewScan(eval func(u float64) ([]float64, error), from, to float64, points i
 		return nil, fmt.Errorf("linstab: scan tEnd must be positive and finite, got %v", tEnd)
 	}
 	s := &Scan{
-		from: from, to: to, tEnd: tEnd,
 		h:    tEnd / float64(points-1),
 		vals: make([][]float64, points),
 	}
@@ -74,14 +71,6 @@ func NewScan(eval func(u float64) ([]float64, error), from, to float64, points i
 	}
 	return s, nil
 }
-
-// Param returns the scan parameter u corresponding to run time t.
-func (s *Scan) Param(t float64) float64 {
-	return s.from + (s.to-s.from)*t/s.tEnd
-}
-
-// TEnd returns the run length the scan was built for.
-func (s *Scan) TEnd() float64 { return s.tEnd }
 
 // Dim implements sim.System.
 func (s *Scan) Dim() int { return len(s.vals[0]) }

@@ -82,7 +82,7 @@ func TestScanReplaysClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, row := range res.Ys {
-		u := s.Param(res.Ts[k])
+		u := pot.(potential.Desync).StableZero() * res.Ts[k] / tEnd // the scan parameter at t
 		cl, err := Classify(tp, pot, WavefrontState(tp.N, u), 1)
 		if err != nil {
 			t.Fatal(err)

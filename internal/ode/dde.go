@@ -41,17 +41,6 @@ func NewHistory(t0 float64, prehistory func(j int, t float64) float64) *History 
 // increasing in time.
 func (h *History) Push(seg *DenseSegment) { h.segs = append(h.segs, seg) }
 
-// Len returns the number of stored segments.
-func (h *History) Len() int { return len(h.segs) }
-
-// End returns the time up to which the history is known.
-func (h *History) End() float64 {
-	if len(h.segs) == 0 {
-		return h.t0
-	}
-	return h.segs[len(h.segs)-1].End()
-}
-
 // Eval implements Past.
 func (h *History) Eval(j int, t float64) float64 {
 	if t <= h.t0 || len(h.segs) == 0 {

@@ -10,9 +10,6 @@ func TestHistoryPrehistoryAndSegments(t *testing.T) {
 	if got := hist.Eval(0, -3); got != -6 {
 		t.Errorf("prehistory Eval = %v", got)
 	}
-	if hist.End() != 0 {
-		t.Errorf("empty End = %v", hist.End())
-	}
 	// Integrate y' = 1 and check history interpolation hits the line.
 	s := NewDOPRI5(1e-9, 1e-9)
 	f := func(_ float64, _, dydt []float64) { dydt[0] = 1 }
@@ -22,7 +19,7 @@ func TestHistoryPrehistoryAndSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hist.Len() == 0 {
+	if len(hist.segs) == 0 {
 		t.Fatal("no segments pushed")
 	}
 	for _, tt := range []float64{0.1, 0.77, 1.5, 2.0} {
@@ -46,10 +43,10 @@ func TestHistoryCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := hist.Len()
+	before := len(hist.segs)
 	hist.Compact(9.5)
-	if hist.Len() >= before && before > 1 {
-		t.Errorf("Compact did not drop segments: %d -> %d", before, hist.Len())
+	if len(hist.segs) >= before && before > 1 {
+		t.Errorf("Compact did not drop segments: %d -> %d", before, len(hist.segs))
 	}
 	// Recent history must still be valid.
 	if got := hist.Eval(0, 9.9); math.Abs(got-9.9) > 1e-6 {

@@ -296,9 +296,6 @@ func (tp *Topology) Coupling(proto Protocol, mode WaitMode, tComp, tComm float64
 	return proto.Beta() * tp.Kappa(mode) / period
 }
 
-// Degree returns the number of partners of rank i.
-func (tp *Topology) Degree(i int) int { return tp.T.RowNNZ(i) }
-
 // Neighbors returns every rank's partner list.
 func (tp *Topology) Neighbors() [][]int { return tp.T.Neighbors() }
 

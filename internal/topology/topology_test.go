@@ -15,8 +15,8 @@ func TestNextNeighborRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if tp.Degree(i) != 2 {
-			t.Errorf("rank %d degree = %d, want 2", i, tp.Degree(i))
+		if tp.T.RowNNZ(i) != 2 {
+			t.Errorf("rank %d degree = %d, want 2", i, tp.T.RowNNZ(i))
 		}
 	}
 	if tp.T.At(0, 4) != 1 || tp.T.At(4, 0) != 1 {
@@ -32,10 +32,10 @@ func TestNextNeighborChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.Degree(0) != 1 || tp.Degree(4) != 1 {
+	if tp.T.RowNNZ(0) != 1 || tp.T.RowNNZ(4) != 1 {
 		t.Error("chain boundary ranks must have degree 1")
 	}
-	if tp.Degree(2) != 2 {
+	if tp.T.RowNNZ(2) != 2 {
 		t.Error("interior rank must have degree 2")
 	}
 	if tp.T.At(0, 4) != 0 {
@@ -50,8 +50,8 @@ func TestNextPlusNextNext(t *testing.T) {
 	}
 	// Offsets −2, −1, +1: degree 3 everywhere on a ring.
 	for i := 0; i < 10; i++ {
-		if tp.Degree(i) != 3 {
-			t.Errorf("rank %d degree = %d, want 3", i, tp.Degree(i))
+		if tp.T.RowNNZ(i) != 3 {
+			t.Errorf("rank %d degree = %d, want 3", i, tp.T.RowNNZ(i))
 		}
 	}
 	if tp.T.At(5, 3) != 1 {
@@ -91,8 +91,8 @@ func TestAllToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if tp.Degree(i) != 5 {
-			t.Errorf("degree = %d, want 5", tp.Degree(i))
+		if tp.T.RowNNZ(i) != 5 {
+			t.Errorf("degree = %d, want 5", tp.T.RowNNZ(i))
 		}
 		if tp.T.At(i, i) != 0 {
 			t.Error("no self-coupling allowed")
@@ -112,8 +112,8 @@ func TestTorus2D(t *testing.T) {
 		t.Fatalf("N = %d", tp.N)
 	}
 	for i := 0; i < tp.N; i++ {
-		if tp.Degree(i) != 4 {
-			t.Errorf("rank %d degree = %d, want 4", i, tp.Degree(i))
+		if tp.T.RowNNZ(i) != 4 {
+			t.Errorf("rank %d degree = %d, want 4", i, tp.T.RowNNZ(i))
 		}
 	}
 	if !tp.IsSymmetric() {
@@ -135,8 +135,8 @@ func TestTorus2DRadius(t *testing.T) {
 		t.Fatalf("N = %d", tp.N)
 	}
 	for i := 0; i < tp.N; i++ {
-		if tp.Degree(i) != 12 {
-			t.Errorf("rank %d degree = %d, want 12", i, tp.Degree(i))
+		if tp.T.RowNNZ(i) != 12 {
+			t.Errorf("rank %d degree = %d, want 12", i, tp.T.RowNNZ(i))
 		}
 	}
 	if !tp.IsSymmetric() {
@@ -322,7 +322,7 @@ func TestStencilNeighborsConsistent(t *testing.T) {
 		}
 		nb := tp.Neighbors()
 		for i := range nb {
-			if len(nb[i]) != tp.Degree(i) {
+			if len(nb[i]) != tp.T.RowNNZ(i) {
 				return false
 			}
 			for _, j := range nb[i] {

@@ -57,11 +57,11 @@ func TestBottleneckedScenarioDesyncs(t *testing.T) {
 
 func TestTopologyConstructors(t *testing.T) {
 	tp, err := NextNeighbor(8, true)
-	if err != nil || tp.Degree(0) != 2 {
+	if err != nil || tp.T.RowNNZ(0) != 2 {
 		t.Errorf("NextNeighbor: %v", err)
 	}
 	tp, err = Stencil(8, []int{-2, 1}, true)
-	if err != nil || tp.Degree(0) != 2 {
+	if err != nil || tp.T.RowNNZ(0) != 2 {
 		t.Errorf("Stencil: %v", err)
 	}
 }
