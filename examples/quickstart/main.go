@@ -1,6 +1,6 @@
 // Quickstart: build a 24-process oscillator model, disturb one process,
 // and watch the idle wave ripple through and the system resynchronize —
-// the core phenomenon of the paper in ~30 lines of API use.
+// the core phenomenon of the paper in ~40 lines of API use.
 //
 // Where to go next: examples/README.md indexes every example (what it
 // demonstrates, expected runtime), and SCENARIOS.md documents the JSON

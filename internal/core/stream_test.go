@@ -331,9 +331,9 @@ func TestSummaryVector(t *testing.T) {
 	}
 }
 
-// TestAdjacentGapTimelineEmptyRow carries the empty-row regression of the
-// deleted gap timeline over to the gap sink: an empty sample row among
-// full ones must add nothing to the averaged gaps, not crash.
+// TestAdjacentGapTimelineEmptyRow checks that an empty sample row among
+// full ones adds no gaps to the gap sink, though it counts as a sample,
+// and does not crash it.
 func TestAdjacentGapTimelineEmptyRow(t *testing.T) {
 	r := &Result{
 		Ts:    []float64{0, 1, 2},

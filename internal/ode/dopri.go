@@ -267,8 +267,8 @@ func (s *DOPRI5) Solve(f Func, y0 []float64, t0, t1 float64, opt SolveOptions) (
 	for t < t1 {
 		// A step below the rounding level of t cannot move t, and its
 		// zero error would be accepted forever (initialStep returns 0 when
-		// its norm overflows). Checked before the clamp to t1, so a short
-		// final step still runs.
+		// its norm overflows). A step that reaches t1 is exempt, so a
+		// short final step, or a short interval, still runs.
 		if h < 1e-14*math.Max(1, math.Abs(t)) && t+h < t1 {
 			return st, fmt.Errorf("%w at t=%g (h=%g)", ErrStepSizeUnderflow, t, h)
 		}

@@ -196,6 +196,25 @@ func TestDOPRI5MaxSteps(t *testing.T) {
 	}
 }
 
+// TestDOPRI5ShortIntervalRuns checks that an interval shorter than the
+// step-size underflow level of t is integrated, not failed: a step that
+// reaches t1 is exempt from the underflow check.
+func TestDOPRI5ShortIntervalRuns(t *testing.T) {
+	s := NewDOPRI5(1e-9, 1e-9)
+	f := func(_ float64, _, dydt []float64) { dydt[0] = 1 }
+	var last float64
+	st, err := s.Solve(f, []float64{0}, 1, 1+1e-15, SolveOptions{
+		NSamples:   2,
+		SampleFunc: func(_ float64, y []float64) { last = y[0] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Accepted != 1 || last <= 0 {
+		t.Errorf("stats %v, y(t1) = %v; want one accepted step that moves y", st, last)
+	}
+}
+
 // poisonOnce returns a decay right-hand side whose k-th call writes v
 // into component 0; every other call is y' = -y.
 func poisonOnce(k int, v float64) Func {

@@ -41,8 +41,8 @@
 // continuum.FrontTracker, a kuramoto.SlipCounter) are teed into the same
 // pass; FuzzSummaryMatchesTee pins the Summary bits to a Tee of the four
 // public accumulators. The sinks are the one implementation of each run
-// metric: the materialized POM Result metrics replay their rows through
-// them with Replay, and the tests pin every sink bit for bit to a
+// metric: a program that records a run's rows replays them through the
+// sinks with Replay, and the tests pin every sink bit for bit to a
 // trajectory-walking oracle. Bitwise determinism is the load-bearing
 // invariant: parallel right-hand sides equal serial ones, and resumed
 // archives equal uninterrupted ones.

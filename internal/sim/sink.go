@@ -47,9 +47,9 @@ func Tee(sinks ...Sink) Sink { return multiSink(sinks) }
 
 // Replay drives a sink over materialized rows exactly as RunStream feeds
 // it a run: Begin with the row width and the row count, then one Sample
-// per row in order. The materialized POM Result metrics and pomsim's
-// materialized report read their rows back through the streaming sinks
-// with it, so each metric has a single implementation.
+// per row in order. pomsim's materialized report and the quickstart
+// example read their recorded rows back through the streaming sinks with
+// it, so each metric has a single implementation.
 func Replay(sink Sink, ts []float64, rows [][]float64) {
 	width := 0
 	if len(rows) > 0 {
